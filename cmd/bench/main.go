@@ -16,7 +16,7 @@
 //	bench -exp siri         POS-Tree vs Merkle Patricia Trie comparison
 //	bench -exp scale        GOMAXPROCS matrix for the parallel paths
 //	bench -exp obs          metrics-layer overhead + counter accounting soak
-//	bench -exp verify       amortized verification: verified-id cache + tamper matrix
+//	bench -exp verify       amortized verification: FileStore stamps + tamper matrix
 //
 // Use -quick for smaller workloads (CI-sized).  With -json FILE the perf
 // suite also writes a machine-readable report (BENCH_N.json artifacts track

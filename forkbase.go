@@ -190,7 +190,6 @@ type options struct {
 	compactEvery   time.Duration
 	compactRatio   float64
 	sinkHashers    int
-	verifyCache    int64
 	metrics        *obs.Registry
 	logger         *slog.Logger
 	slowOp         time.Duration
@@ -293,19 +292,6 @@ func WithSinkHashers(n int) Option {
 	return func(o *options) { o.sinkHashers = n }
 }
 
-// WithVerifyCache budgets the verified-id set inside the tamper-verification
-// layer: once a chunk has been rehashed on this instance, repeat reads skip
-// the SHA-256 until GC relocation, scrub findings, quarantine, repair, heal,
-// or a segment remap invalidates the entry.  bytes == 0 keeps the default
-// budget (store.DefaultVerifyCacheBytes); bytes < 0 disables amortization so
-// every read rehashes.  The set engages only over this process's own
-// memory or disk — reads from remote stores, replicas mid-fetch, and any
-// injected untrusted store always pay the full rehash regardless of this
-// knob, so the trust model at the wire and disk boundaries is unchanged.
-func WithVerifyCache(bytes int64) Option {
-	return func(o *options) { o.verifyCache = bytes }
-}
-
 // WithMetrics selects the registry this instance reports into: engine and
 // store operation counts/latencies, cache and dedup gauges, GC/scrub/heal
 // accounting.  The default is obs.Default() (the process-wide registry);
@@ -378,18 +364,17 @@ func Open(opts ...Option) (*DB, error) {
 		compactEvery = 0
 	}
 	db.eng = core.Open(core.Options{
-		Store:            o.st,
-		Branches:         o.branches,
-		Chunking:         o.chunking,
-		Index:            o.idxKind,
-		NodeCacheBytes:   o.nodeCacheBytes,
-		CompactEvery:     compactEvery,
-		CompactRatio:     o.compactRatio,
-		SinkHashers:      o.sinkHashers,
-		VerifyCacheBytes: o.verifyCache,
-		Metrics:          o.metrics,
-		Logger:           o.logger,
-		SlowOp:           o.slowOp,
+		Store:          o.st,
+		Branches:       o.branches,
+		Chunking:       o.chunking,
+		Index:          o.idxKind,
+		NodeCacheBytes: o.nodeCacheBytes,
+		CompactEvery:   compactEvery,
+		CompactRatio:   o.compactRatio,
+		SinkHashers:    o.sinkHashers,
+		Metrics:        o.metrics,
+		Logger:         o.logger,
+		SlowOp:         o.slowOp,
 	})
 	if o.followAddr != "" {
 		if db.clust != nil {
@@ -710,7 +695,7 @@ func (db *DB) SpliceBlob(key, branch string, at, del uint64, ins []byte, meta ma
 // stores compact their log — live records of garbage-heavy segments are
 // rewritten into fresh segments and the old files unlinked, so the on-disk
 // footprint shrinks to the live set.  Only injected stores that implement
-// neither collection capability return core.ErrNotCollectable.
+// no collection capability (store.Collector) return core.ErrNotCollectable.
 func (db *DB) GC() (GCStats, error) {
 	if err := db.writeGuard(); err != nil {
 		return GCStats{}, err
@@ -799,11 +784,12 @@ func (db *DB) Stats() StoreStats { return db.eng.Stats() }
 // was not enabled via WithNodeCache).
 func (db *DB) CacheStats() NodeCacheStats { return db.eng.NodeCacheStats() }
 
-// VerifyCacheStats returns the verification layer's amortization counters:
-// verified-id set hits/misses/invalidations and the total rehashes skipped
-// (set hits plus provenance-trusted writes).  Enabled is false when the set
-// is off — disabled via WithVerifyCache(-1) or inert because the store stack
-// crosses a trust boundary.
+// VerifyCacheStats reports how chunk reads and writes were verified: Hits
+// counts reads the backend served on its own verified stamp (FileStore's
+// index entries), Misses counts reads that paid a rehash — in the backend or
+// in the verifying layer, which rehashes every chunk a remote or other
+// untrusted store hands back — and SkippedHashes counts the rehashes avoided
+// (stamped reads plus writes of chunks hashed in this process).
 func (db *DB) VerifyCacheStats() store.VerifyStats { return db.eng.VerifyStats() }
 
 // Metrics returns the registry this instance reports into (obs.Discard

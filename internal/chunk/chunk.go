@@ -157,6 +157,17 @@ func NewClaimed(t Type, data []byte, id hash.Hash) *Chunk {
 // flips to false after a successful Recheck.
 func (c *Chunk) Claimed() bool { return c.claimed.Load() }
 
+// Provenance returns the witness that c's id was computed from c's bytes in
+// this process (by New, HashEncoding, or a successful Recheck), or the zero
+// token while the id is still a claim.  A store that persists c's bytes may
+// keep the token as its verdict on them and hand it back to NewPrehashed.
+func (c *Chunk) Provenance() Provenance {
+	if c.claimed.Load() {
+		return Provenance{}
+	}
+	return Provenance{ok: true, id: c.id}
+}
+
 // Recheck verifies a claimed chunk's content against its claimed id,
 // returning ErrCorrupt on mismatch.  Chunks constructed by New (id computed
 // from the data) or NewPrehashed (id computed by a trusted hasher) pass

@@ -144,6 +144,31 @@ func TestNewPrehashedRejectsForgedProvenance(t *testing.T) {
 	NewPrehashed(TypeBlobLeaf, []byte("payload"), honest.ID(), prov)
 }
 
+// TestChunkProvenance pins the accessor stores stamp their records with: a
+// claimed chunk yields the zero token until a Recheck proves its id, and a
+// proven chunk's token covers exactly its own id.
+func TestChunkProvenance(t *testing.T) {
+	honest := New(TypeBlobLeaf, []byte("payload"))
+	if !honest.Provenance().Covers(honest.ID()) {
+		t.Fatal("New chunk's token does not cover its id")
+	}
+	claimed := NewClaimed(TypeBlobLeaf, []byte("payload"), honest.ID())
+	if claimed.Provenance().Covers(honest.ID()) {
+		t.Fatal("claimed chunk yielded a covering token before Recheck")
+	}
+	if err := claimed.Recheck(); err != nil {
+		t.Fatal(err)
+	}
+	prov := claimed.Provenance()
+	if !prov.Covers(honest.ID()) || prov.Covers(New(TypeBlobLeaf, []byte("other")).ID()) {
+		t.Fatal("rechecked chunk's token covers the wrong ids")
+	}
+	forged := NewClaimed(TypeBlobLeaf, []byte("forged"), honest.ID())
+	if forged.Recheck() == nil || forged.Provenance().Covers(honest.ID()) {
+		t.Fatal("forged claimed chunk yielded a covering token")
+	}
+}
+
 func TestRecheckPromotesClaimed(t *testing.T) {
 	honest := New(TypeBlobLeaf, []byte("payload"))
 	c := NewClaimed(TypeBlobLeaf, []byte("payload"), honest.ID())

@@ -510,12 +510,9 @@ func cmdStats(db *forkbase.DB, args []string, out io.Writer) error {
 	} else {
 		fmt.Fprintln(out, "health:         ok")
 	}
-	if vs := db.VerifyCacheStats(); vs.Enabled {
-		fmt.Fprintf(out, "verify cache:   %d hits / %d misses / %d invalidations, %d hashes skipped, %d entries\n",
-			vs.Hits, vs.Misses, vs.Invalidations, vs.SkippedHashes, vs.Entries)
-	} else {
-		fmt.Fprintf(out, "verify cache:   off (%d hashes skipped by provenance)\n", vs.SkippedHashes)
-	}
+	vs := db.VerifyCacheStats()
+	fmt.Fprintf(out, "verify:         %d stamped reads / %d rehashed reads, %d hashes skipped\n",
+		vs.Hits, vs.Misses, vs.SkippedHashes)
 	if db.Following() {
 		if lag, err := db.FeedLag(); err == nil {
 			fmt.Fprintf(out, "feed lag:       %d\n", lag)

@@ -107,14 +107,6 @@ type Options struct {
 	// so it reaches sinks opened deep inside the value layer.  The same
 	// preference sizes the verifying layer's batch-recheck pool.
 	SinkHashers int
-	// VerifyCacheBytes budgets the verified-id set inside the verifying
-	// layer: once a chunk has been rehashed on this engine, repeat reads
-	// skip the hash until GC, scrub, heal, or a placement-epoch change
-	// invalidates the entry.  0 selects store.DefaultVerifyCacheBytes;
-	// negative disables the set (every read rehashes, the pre-amortization
-	// behavior).  The set only ever engages over trusted local stacks —
-	// over wire or adversarial stores the knob is inert.
-	VerifyCacheBytes int64
 	// Metrics selects the registry this engine reports into: engine
 	// operation counts/latencies, store-level per-backend instrumentation,
 	// cache and dedup gauges, GC/heal/scrub accounting.  nil selects
@@ -161,7 +153,7 @@ func Open(opts Options) *DB {
 	// per backend kind; store.Instrument is the identity for obs.Discard,
 	// so a metrics-disabled engine keeps the unwrapped hot path.
 	opts.Store = store.InstrumentSlow(opts.Store, opts.Metrics, opts.Logger, opts.SlowOp)
-	verifier := store.NewVerifyingStoreCache(opts.Store, opts.VerifyCacheBytes)
+	verifier := store.NewVerifyingStore(opts.Store)
 	verifier.SetVerifyWorkers(opts.SinkHashers)
 	db := &DB{
 		raw:     opts.Store,

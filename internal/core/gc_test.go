@@ -158,37 +158,6 @@ func TestGCNotCollectable(t *testing.T) {
 	}
 }
 
-// TestGCLegacyCollectable pins the adapter: a third-party store exposing
-// only the per-chunk IDs/Delete/Get surface is still collectable.
-// hideSweep wraps a MemStore so only the legacy Collectable surface shows.
-type hideSweep struct{ mem *store.MemStore }
-
-func (h hideSweep) Put(c *chunk.Chunk) (bool, error)       { return h.mem.Put(c) }
-func (h hideSweep) Get(id hash.Hash) (*chunk.Chunk, error) { return h.mem.Get(id) }
-func (h hideSweep) Has(id hash.Hash) (bool, error)         { return h.mem.Has(id) }
-func (h hideSweep) Stats() store.Stats                     { return h.mem.Stats() }
-func (h hideSweep) IDs() []hash.Hash                       { return h.mem.IDs() }
-func (h hideSweep) Delete(id hash.Hash)                    { h.mem.Delete(id) }
-
-func TestGCLegacyCollectable(t *testing.T) {
-	db := Open(Options{Store: hideSweep{store.NewMemStore()}, Chunking: chunker.SmallConfig()})
-	db.Put("keep", "", bigMap(t, db, 200, "keep"), nil)
-	db.Put("drop", "", bigMap(t, db, 200, "drop"), nil)
-	if err := db.DeleteBranch("drop", "master"); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := db.GC()
-	if err != nil {
-		t.Fatalf("legacy collectable GC: %v", err)
-	}
-	if stats.Swept == 0 || stats.ReclaimedBytes == 0 {
-		t.Fatalf("legacy sweep reclaimed nothing: %+v", stats)
-	}
-	if _, err := db.Get("keep", "master"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGCFileBacked is the headline capability of this change: GC on a
 // file-backed DB sweeps unreachable chunks AND returns the disk space, and
 // the compacted store survives a reopen.

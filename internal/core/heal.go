@@ -44,10 +44,11 @@ type HealStats struct {
 	Failed []hash.Hash
 }
 
-// Heal walks the live Merkle graph from every branch head, re-verifying each
-// chunk through the verifying read path, and repairs every missing-or-corrupt
-// chunk from src: refetched in batches, rehashed against the requested id,
-// and written back through the store's Repair capability (plain Put when the
+// Heal walks the live Merkle graph from every branch head, rehashing each
+// chunk it reads — it trusts no stored verdict such as FileStore's index
+// stamps, so rot behind a stamp is found without a scrub — and repairs every
+// missing-or-corrupt chunk from src: refetched in batches, rehashed against
+// the requested id, and written back through the store's Repair capability (plain Put when the
 // store lacks it).  Children of repaired chunks rejoin the walk, so damage
 // deep inside a subtree hidden behind a damaged parent is still found.
 //
@@ -73,7 +74,7 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 	db.writeMu.RLock()
 	defer db.writeMu.RUnlock()
 
-	rep, _ := findRepairer(db.raw)
+	rep, _ := store.As[store.Repairer](db.raw)
 
 	keys, err := db.heads.Keys()
 	if err != nil {
@@ -97,18 +98,16 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 	}
 
 	ncache := store.NodeCacheOf(db.st)
-	verifier := store.VerifierOf(db.st)
 	for len(frontier) > 0 {
 		var next, damaged []hash.Hash
 		for _, id := range frontier {
 			hs.Checked++
-			// Heal's contract is to re-verify what is actually on disk, so
-			// every read must pay the rehash: drop any verified-id entry
-			// before the Get (the read re-adds a fresh one on success).
-			if verifier != nil {
-				verifier.Invalidate(id)
-			}
+			// Heal's contract is to re-verify what is actually stored, so it
+			// hashes every chunk it reads itself.
 			c, err := db.st.Get(id)
+			if err == nil && hash.SumTagged(byte(c.Type()), c.Data()) != id {
+				err = fmt.Errorf("%w: %s rehashes differently", chunk.ErrCorrupt, id.Short())
+			}
 			switch {
 			case err == nil:
 				kids, err := chunkChildren(c)
@@ -167,12 +166,8 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 						continue
 					}
 				}
-				// A cached decode may alias storage of the damaged copy, and a
-				// verified-id entry still describes the bytes repair replaced.
+				// A cached decode may alias storage of the damaged copy.
 				ncache.Remove(want)
-				if verifier != nil {
-					verifier.Invalidate(want)
-				}
 				hs.Repaired++
 				hs.BytesFetched += int64(c.Size())
 				kids, err := chunkChildren(c)
@@ -218,26 +213,4 @@ func chunkChildren(c *chunk.Chunk) ([]hash.Hash, error) {
 		return out, nil
 	}
 	return index.Children(c)
-}
-
-// findRepairer unwraps the store stack until it finds the repair capability
-// (mirrors findCollector).
-func findRepairer(st store.Store) (store.Repairer, bool) {
-	for {
-		if r, ok := st.(store.Repairer); ok {
-			return r, true
-		}
-		switch s := st.(type) {
-		case *store.CountingStore:
-			st = s.Inner
-		case *store.VerifyingStore:
-			st = s.Inner
-		case *store.MaliciousStore:
-			st = s.Inner
-		case interface{ Unwrap() store.Store }:
-			st = s.Unwrap()
-		default:
-			return nil, false
-		}
-	}
 }

@@ -154,6 +154,54 @@ func TestHealRepairsCorruptInPlace(t *testing.T) {
 	verifyAllBranches(t, db)
 }
 
+// TestHealWithoutScrubFindsStampedRot: rot lands behind a stamp — the
+// record was verified and stamped, so plain reads keep serving it — and Heal,
+// called with no scrub before it, must still classify the record as corrupt
+// (it rehashes what it reads) and repair it.
+func TestHealWithoutScrubFindsStampedRot(t *testing.T) {
+	dir := t.TempDir()
+	db, fs := newFileDB(t, dir)
+	defer fs.Close()
+	seedHealDB(t, db, fs)
+	replica := mirrorStore(t, fs)
+	verifyAllBranches(t, db)
+
+	seg, err := os.ReadFile(filepath.Join(dir, "seg-000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id hash.Hash
+	copy(id[:], seg[:hash.Size])
+	before := hash.Digests()
+	if _, err := db.Store().Get(id); err != nil {
+		t.Fatal(err)
+	}
+	if n := hash.Digests() - before; n != 0 {
+		t.Fatalf("record under test is not stamped: read paid %d digests", n)
+	}
+
+	rotSegment(t, dir, 1)
+	if _, err := db.Store().Get(id); err != nil {
+		t.Fatalf("stamped read of rotted record failed (%v); the test needs the staleness window", err)
+	}
+
+	hs, err := db.Heal(testChunkSource{replica})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hs.Corrupt == 0 || hs.Repaired != hs.Corrupt+hs.Missing || len(hs.Failed) != 0 {
+		t.Fatalf("heal did not classify and repair the stamped rot: %+v", hs)
+	}
+	c, err := db.Store().Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hash.SumTagged(byte(c.Type()), c.Data()) != id {
+		t.Fatal("repaired record still serves rotted bytes")
+	}
+	verifyAllBranches(t, db)
+}
+
 // TestHealAfterScrubQuarantine is the full detect → quarantine → repair
 // loop at the engine level: scrub quarantines the rotted segment (chunk now
 // *missing*), heal refills the hole from the replica, and the store's

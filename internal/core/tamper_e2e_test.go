@@ -8,11 +8,11 @@ import (
 )
 
 // TestTamperAfterVerifyScrubHealRecovers is the end-to-end pin for the
-// verified-id cache's one accepted staleness window: bytes that rot on disk
-// *after* a fully verified read.  The cache is warm for every reachable
-// chunk when the rot lands; the sequence scrub → health → heal must still
-// classify the damage, repair it from a replica, and leave the cache holding
-// nothing stale.  Run under -race in CI's verify shard.
+// index stamps' one accepted staleness window: bytes that rot on disk
+// *after* a fully verified read.  Every reachable record is stamped when the
+// rot lands; the sequence scrub → health → heal must still classify the
+// damage, repair it from a replica, and serve nothing lost.  Run under -race
+// in CI's verify shard.
 func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 	dir := t.TempDir()
 	db, fs := newFileDB(t, dir)
@@ -21,41 +21,35 @@ func TestTamperAfterVerifyScrubHealRecovers(t *testing.T) {
 	replica := mirrorStore(t, fs)
 
 	// Phase 1 — verified read: deep-verify every branch, which walks every
-	// reachable chunk through the verifying store and warms the set.
+	// reachable chunk through the verifying store; the reads are served on
+	// the stamps the writes left.
 	verifyAllBranches(t, db)
-	vst := db.VerifyStats()
-	if !vst.Enabled {
-		t.Fatal("verified-id cache off over a plain file store")
-	}
-	if vst.Entries == 0 {
-		t.Fatalf("deep verify warmed nothing: %+v", vst)
+	if vst := db.VerifyStats(); vst.Hits == 0 {
+		t.Fatalf("deep verify served nothing on a stamp: %+v", vst)
 	}
 
 	// Phase 2 — tamper after the verified read.
 	rotSegment(t, dir, 1)
 
-	// Phase 3 — scrub classifies despite the warm cache (scrub reads the
-	// segment bytes directly; the verified set is never an oracle for it).
+	// Phase 3 — scrub classifies despite the stamps (scrub reads the segment
+	// bytes directly; a stamp is never an oracle for it).
 	ss, err := db.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ss.Corrupt == 0 || len(ss.Lost) == 0 {
-		t.Fatalf("scrub over a warm verify cache missed the rot: %+v", ss)
+		t.Fatalf("scrub over stamped records missed the rot: %+v", ss)
 	}
 	if err := fs.Health(); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("health = %v, want ErrCorrupt", err)
 	}
-	if got := db.VerifyStats().Invalidations; got == 0 {
-		t.Fatal("scrub findings invalidated nothing in the verified set")
-	}
-	// The lost chunk must not be served from any cache layer.
+	// The lost chunk must not be served from any layer.
 	if _, err := db.Store().Get(ss.Lost[0]); err == nil {
 		t.Fatal("lost chunk still readable after quarantine")
 	}
 
 	// Phase 4 — heal refills the holes from the replica and re-verifies
-	// what is actually on disk (heal never trusts the warm set either).
+	// what is actually on disk (heal never trusts a stamp either).
 	hs, err := db.Heal(testChunkSource{replica})
 	if err != nil {
 		t.Fatal(err)

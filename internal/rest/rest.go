@@ -118,18 +118,17 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 		// it doing work".  Counter families only — gauge funcs may probe the
 		// network (repl lag) and a health check must stay cheap.
 		body["metrics"] = map[string]any{
-			"engine_ops":                 h.reg.Sum("forkbase_engine_ops_total"),
-			"engine_errors":              h.reg.Sum("forkbase_engine_errors_total"),
-			"http_requests":              h.reg.Sum("forkbase_http_requests_total"),
-			"server_requests":            h.reg.Sum("forkbase_server_requests_total"),
-			"store_errors":               h.reg.Sum("forkbase_store_errors_total"),
-			"cache_hits":                 h.reg.Sum("forkbase_cache_hits_total"),
-			"cache_misses":               h.reg.Sum("forkbase_cache_misses_total"),
-			"retry_gaveup":               h.reg.Sum("forkbase_retry_gaveup_total"),
-			"verify_cache_hits":          h.reg.Sum("forkbase_verify_cache_hits_total"),
-			"verify_cache_misses":        h.reg.Sum("forkbase_verify_cache_misses_total"),
-			"verify_cache_invalidations": h.reg.Sum("forkbase_verify_cache_invalidations_total"),
-			"verify_skipped_hashes":      h.reg.Sum("forkbase_verify_skipped_hashes_total"),
+			"engine_ops":            h.reg.Sum("forkbase_engine_ops_total"),
+			"engine_errors":         h.reg.Sum("forkbase_engine_errors_total"),
+			"http_requests":         h.reg.Sum("forkbase_http_requests_total"),
+			"server_requests":       h.reg.Sum("forkbase_server_requests_total"),
+			"store_errors":          h.reg.Sum("forkbase_store_errors_total"),
+			"cache_hits":            h.reg.Sum("forkbase_cache_hits_total"),
+			"cache_misses":          h.reg.Sum("forkbase_cache_misses_total"),
+			"retry_gaveup":          h.reg.Sum("forkbase_retry_gaveup_total"),
+			"verify_cache_hits":     h.reg.Sum("forkbase_verify_cache_hits_total"),
+			"verify_cache_misses":   h.reg.Sum("forkbase_verify_cache_misses_total"),
+			"verify_skipped_hashes": h.reg.Sum("forkbase_verify_skipped_hashes_total"),
 		}
 	}
 	if h.scrubber != nil {

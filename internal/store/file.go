@@ -36,9 +36,7 @@ import (
 //	          take the write lock just long enough to flush the buffer.
 //	sealed  — a segment the tail rotated past (or found on open).  Sealed
 //	          segments are immutable, fsynced, and memory-mapped: Get serves
-//	          a zero-copy slice of the mapping without a syscall, a copy, or
-//	          a hash (the id comes from the index; the chunk is marked
-//	          *claimed* so the engine's verifying layer rehashes it).
+//	          a zero-copy slice of the mapping without a syscall or a copy.
 //	retired — a sealed segment rewritten by compaction.  Its file is
 //	          unlinked, but the mapping is parked so zero-copy slices
 //	          handed out earlier stay valid: at least until the *next*
@@ -49,13 +47,21 @@ import (
 // chunks never contend on one mutex; only the active tail keeps a single
 // write lock.
 //
+// Verification: the store is the only judge of its own bytes.  Each index
+// entry carries a stamp — the chunk.Provenance token of the bytes it points
+// at — minted when this process writes a chunk whose id it computed, or by
+// the first read that hashes an unstamped record.  A stamped read costs an
+// index lookup and a token compare; every chunk Get returns hashes to its
+// id.  Entries built by compaction, quarantine rescue or open-time recovery
+// carry no stamp, so relocated bytes are hashed again on their first read.
+//
 // Zero-copy contract: payloads returned by Get for sealed segments alias
 // the segment mapping.  They are valid until Close, except that data whose
 // segment was compacted away is only guaranteed through the sweep *after*
 // the one that retired it — callers holding chunk data across multiple GC
 // cycles (or past Close) must copy.  On platforms without mmap (and with
 // the NoMmap option) every read falls back to positioned reads through
-// persistent per-segment handles, which copy and verify as before.
+// persistent per-segment handles, which copy.
 type FileStore struct {
 	dir        string
 	maxSegment int64
@@ -84,24 +90,15 @@ type FileStore struct {
 
 	actSeg atomic.Int64 // current active segment number (lock-free read path)
 
-	// placeEpoch counts the events after which previously-served bytes for an
-	// id may live somewhere new (compaction rewrites, quarantine rescues).
-	// The verifying layer stamps verified-id entries with it, so a remap can
-	// never satisfy a stale "verified" hit.  Sealing does not bump it: a seal
-	// changes how bytes are served, not which bytes an id resolves to.
-	placeEpoch atomic.Uint64
-
 	// segMu guards the sealed-segment table and the retired list.
 	segMu   sync.RWMutex
 	sealed  map[int]*mseg
 	retired []*mseg // parked mappings of compacted segments (munmap at Close)
 
 	gets atomic.Int64
-
-	// verifiedServes counts GetVerified calls answered with a fresh verified
-	// stamp (see MarkVerified) — reads where the verifying layer above was
-	// told it can skip the rehash.
-	verifiedServes atomic.Int64
+	// stampedGets and hashedGets split reads by verdict: served on the
+	// entry's stamp, or hashed first (see judge).
+	stampedGets, hashedGets atomic.Int64
 
 	// readersMu guards the read-handle table used by the active tail and the
 	// no-mmap fallback.  Positioned reads hold it shared for the duration of
@@ -223,17 +220,19 @@ type recordLoc struct {
 	offset  int64
 	length  int32 // payload length
 	typ     chunk.Type
-	// verifiedAt is the placement epoch at which the verifying layer last
-	// rehashed this record's bytes, plus one; zero means never.  The stamp is
-	// minted only by MarkVerified (called by a VerifyingStore after a
-	// successful recheck) and dies with the entry: every relocation —
-	// compaction, quarantine rescue, repair — builds a fresh recordLoc, and an
-	// epoch bump retires surviving stamps wholesale.
-	verifiedAt uint64
+	// prov is the stamp: the provenance token of the bytes at this location,
+	// or the zero token while they have not been hashed in this process.  It
+	// dies with the entry — every relocation builds a fresh recordLoc.
+	prov chunk.Provenance
 }
 
 // diskBytes is the on-disk footprint of the record at loc.
 func (l recordLoc) diskBytes() int64 { return int64(recordHeader) + int64(l.length) }
+
+// samePlace reports whether l and o locate the same on-disk record.
+func (l recordLoc) samePlace(o recordLoc) bool {
+	return l.segment == o.segment && l.offset == o.offset
+}
 
 const recordHeader = hash.Size + 4 + 1
 
@@ -328,14 +327,6 @@ var (
 // GraceGenerations marks the online-sweep grace capability (see
 // store.GenerationalCollector); Sweep documents the semantics.
 func (f *FileStore) GraceGenerations() {}
-
-// VerifyCacheTrusted implements VerifyCacheTruster: the store owns its local
-// disk, so a verification performed here stays valid until the placement
-// epoch moves or scrub/heal says otherwise.
-func (f *FileStore) VerifyCacheTrusted() bool { return true }
-
-// PlacementEpoch implements PlacementEpocher.
-func (f *FileStore) PlacementEpoch() uint64 { return f.placeEpoch.Load() }
 
 // OpenFileStore opens (creating if needed) a file store rooted at dir.
 // Existing segments are scanned to rebuild the index, so reopening a store
@@ -700,7 +691,10 @@ func (f *FileStore) appendLocked(c *chunk.Chunk) (bool, error) {
 		return false, fmt.Errorf("filestore: %w", err)
 	}
 	seg := int(f.actSeg.Load())
-	loc := recordLoc{segment: seg, offset: f.actSize, length: int32(len(c.Data())), typ: c.Type()}
+	// The bytes just appended are the bytes c's id was computed from, so an
+	// unclaimed chunk's token stamps the entry; a claimed one leaves it for
+	// the first read to hash.
+	loc := recordLoc{segment: seg, offset: f.actSize, length: int32(len(c.Data())), typ: c.Type(), prov: c.Provenance()}
 	sh.mu.Lock()
 	sh.m[id] = loc
 	sh.mu.Unlock()
@@ -780,35 +774,17 @@ func (f *FileStore) rotate() error {
 	return f.openActive()
 }
 
-// Get implements Store.
+// Get implements Store.  Every chunk it returns hashes to id: a stamped
+// entry is served on its stamp, an unstamped one is hashed first (see judge),
+// and bytes that no longer match their id are ErrCorrupt.
 //
 // Sealed segments (the common case for any store bigger than one segment)
 // are served from their memory mapping: no syscall, no copy, no lock shared
 // with other chunks — just a sharded index lookup and a refcount bump.  The
-// returned chunk's payload aliases the mapping (valid until Close) and its
-// id is *claimed* from the index rather than recomputed; the engine always
-// reads through a VerifyingStore, which rehashes claimed chunks, so
-// end-to-end tamper evidence is unchanged.  Raw callers that need integrity
-// without the verifying layer can call Recheck themselves.
-//
-// Records still in the active tail take the write lock just long enough to
-// flush the append buffer, then are read, copied and verified as before.
+// returned chunk's payload aliases the mapping (valid until Close).  Records
+// still in the active tail take the write lock just long enough to flush the
+// append buffer, then are read with a positioned read.
 func (f *FileStore) Get(id hash.Hash) (*chunk.Chunk, error) {
-	c, _, err := f.get(id, false)
-	return c, err
-}
-
-// GetVerified is Get plus the verified-index verdict: verified reports that
-// the verifying layer previously rehashed exactly these bytes (MarkVerified)
-// and that no placement event has intervened, so the caller may skip its own
-// recheck.  The chunk itself is still claimed — the verdict is a witness
-// riding alongside, not a change to the chunk's trust state — so any reader
-// that ignores the verdict gets exactly the plain Get contract.
-func (f *FileStore) GetVerified(id hash.Hash) (c *chunk.Chunk, verified bool, err error) {
-	return f.get(id, true)
-}
-
-func (f *FileStore) get(id hash.Hash, wantVerdict bool) (*chunk.Chunk, bool, error) {
 	f.gets.Add(1)
 	// Rotation or compaction can move a record between the index lookup and
 	// the segment access; re-looking up and retrying converges because moves
@@ -816,14 +792,14 @@ func (f *FileStore) get(id hash.Hash, wantVerdict bool) (*chunk.Chunk, bool, err
 	for attempt := 0; attempt < 8; attempt++ {
 		loc, ok := f.lookup(id)
 		if !ok {
-			return nil, false, ErrNotFound
+			return nil, ErrNotFound
 		}
 		if int64(loc.segment) == f.actSeg.Load() {
 			c, retry, err := f.getActive(id)
 			if retry {
 				continue
 			}
-			return c, false, err
+			return c, err
 		}
 		if !f.noMmap {
 			f.segMu.RLock()
@@ -836,77 +812,58 @@ func (f *FileStore) get(id hash.Hash, wantVerdict bool) (*chunk.Chunk, bool, err
 			end := start + int64(loc.length)
 			if end > int64(len(m.data)) {
 				m.release()
-				return nil, false, fmt.Errorf("filestore: index points past seg %d mapping", loc.segment)
+				return nil, fmt.Errorf("filestore: index points past seg %d mapping", loc.segment)
 			}
-			c := chunk.NewClaimed(loc.typ, m.data[start:end:end], id)
+			// The type byte sits directly before the payload, so the
+			// [type][payload] encoding is judged in place.
+			c, err := f.judge(id, loc, m.data[start-1:end:end])
 			m.release()
-			// The stamp is fresh only while the placement epoch it was minted
-			// at is still current; the epoch is read *after* the bytes, so a
-			// concurrent compaction or quarantine can only turn a fresh
-			// verdict stale, never the reverse.
-			if wantVerdict && loc.verifiedAt == f.placeEpoch.Load()+1 {
-				f.verifiedServes.Add(1)
-				return c, true, nil
-			}
-			return c, false, nil
+			return c, err
 		}
 		c, err := f.getPread(id, loc)
 		if err == nil {
-			return c, false, nil
+			return c, nil
 		}
 		// Compaction may have relocated the record and unlinked its segment
 		// mid-read; if the index moved it, retry at the new home.
 		cur, ok := f.lookup(id)
 		if !ok {
-			return nil, false, ErrNotFound // swept concurrently
+			return nil, ErrNotFound // swept concurrently
 		}
-		if cur != loc {
+		if !cur.samePlace(loc) {
 			continue
 		}
-		return nil, false, err
+		return nil, err
 	}
-	return nil, false, fmt.Errorf("filestore: get %s: segment moved too many times", id.Short())
+	return nil, fmt.Errorf("filestore: get %s: segment moved too many times", id.Short())
 }
 
-// MarkVerified records that the verifying layer rehashed id's bytes while the
-// placement epoch was epoch.  The stamp is refused if placement has already
-// moved on (the verified bytes may no longer be the served bytes), and is
-// checked under the index shard lock so it cannot interleave with a
-// compaction repointing the same entry.
-func (f *FileStore) MarkVerified(id hash.Hash, epoch uint64) {
-	sh := f.shard(id)
-	sh.mu.Lock()
-	if f.placeEpoch.Load() == epoch {
-		if loc, ok := sh.m[id]; ok {
-			loc.verifiedAt = epoch + 1
-			sh.m[id] = loc
+// judge turns enc, the [type][payload] bytes of the record at loc, into the
+// chunk for id.  A stamped entry is served on its stamp.  Otherwise enc is
+// hashed; on a match the entry is stamped — if it still locates the bytes
+// just hashed — so the next read is free, and on a mismatch the read fails
+// with ErrCorrupt and the entry stays unstamped.
+func (f *FileStore) judge(id hash.Hash, loc recordLoc, enc []byte) (*chunk.Chunk, error) {
+	prov := loc.prov
+	if prov.Covers(id) {
+		f.stampedGets.Add(1)
+	} else {
+		f.hashedGets.Add(1)
+		var got hash.Hash
+		prov = chunk.HashEncoding(&got, enc)
+		if got != id || enc[0] != byte(loc.typ) {
+			return nil, fmt.Errorf("%w: filestore record %s hashes to %s", ErrCorrupt, id.Short(), got.Short())
 		}
+		sh := f.shard(id)
+		sh.mu.Lock()
+		if cur, ok := sh.m[id]; ok && cur.samePlace(loc) {
+			cur.prov = prov
+			sh.m[id] = cur
+		}
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
+	return chunk.NewPrehashed(loc.typ, enc[1:], id, prov), nil
 }
-
-// UnmarkVerified drops id's verified stamp (no-op if absent).  Scrub, heal,
-// repair and GC route here through VerifyingStore.Invalidate whenever they
-// learn the on-disk bytes are damaged, moved, or about to be rewritten.
-func (f *FileStore) UnmarkVerified(id hash.Hash) {
-	sh := f.shard(id)
-	sh.mu.Lock()
-	if loc, ok := sh.m[id]; ok && loc.verifiedAt != 0 {
-		loc.verifiedAt = 0
-		sh.m[id] = loc
-	}
-	sh.mu.Unlock()
-}
-
-// UnmarkAllVerified retires every verified stamp at once.  Implemented as a
-// placement-epoch bump: stamps (and verified-set entries) are keyed to the
-// epoch they were minted at, so advancing it invalidates all of them in O(1)
-// without walking the index shards.
-func (f *FileStore) UnmarkAllVerified() { f.placeEpoch.Add(1) }
-
-// VerifiedServes reports how many Gets were answered with a fresh verified
-// stamp since open.
-func (f *FileStore) VerifiedServes() int64 { return f.verifiedServes.Load() }
 
 // getActive reads a record that the index places in the active tail.  retry
 // is true when the record moved (rotation/compaction) before the lock was
@@ -939,26 +896,22 @@ func (f *FileStore) getActive(id hash.Hash) (*chunk.Chunk, bool, error) {
 		// The tail may have sealed and been compacted away between the
 		// unlock and the read; if the record moved (or vanished), have the
 		// caller re-resolve rather than surfacing a spurious error.
-		if cur, ok := f.lookup(id); !ok || cur != loc {
+		if cur, ok := f.lookup(id); !ok || !cur.samePlace(loc) {
 			return nil, true, nil
 		}
 	}
 	return c, false, err
 }
 
-// getPread is the copying read path: positioned read through a persistent
-// handle, then hash verification — the pre-mmap behavior, used for the
-// active tail and in no-mmap mode.
+// getPread is the copying read path — a positioned read of the record's
+// type byte and payload through a persistent handle — used for the active
+// tail and in no-mmap mode.
 func (f *FileStore) getPread(id hash.Hash, loc recordLoc) (*chunk.Chunk, error) {
-	payload := make([]byte, loc.length)
-	if err := f.readRecord(loc.segment, loc.offset+recordHeader, payload); err != nil {
+	enc := make([]byte, 1+loc.length)
+	if err := f.readRecord(loc.segment, loc.offset+recordHeader-1, enc); err != nil {
 		return nil, err
 	}
-	c := chunk.New(loc.typ, payload)
-	if err := c.Verify(id); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return f.judge(id, loc, enc)
 }
 
 // readRecord fills payload from a segment via a persistent read-only handle,
@@ -1061,6 +1014,8 @@ func (f *FileStore) Stats() Stats {
 	s := f.stats
 	f.mu.Unlock()
 	s.Gets = f.gets.Load()
+	s.StampedGets = f.stampedGets.Load()
+	s.HashedGets = f.hashedGets.Load()
 	return s
 }
 
@@ -1180,9 +1135,6 @@ func (f *FileStore) compactLocked(minDeadRatio float64, res *SweepStats) error {
 		return nil
 	}
 	sort.Ints(victims)
-	// Records are about to move; retire every verified-id entry stamped with
-	// the old epoch before any index repointing becomes visible to readers.
-	f.placeEpoch.Add(1)
 	// Phase 1 — parallel collect: scan each victim and liveness-check its
 	// records on a bounded worker pool.  Safe under f.mu: no writer can move
 	// records, so the index is stable; workers only RLock the shards and

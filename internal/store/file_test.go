@@ -35,8 +35,8 @@ func fillSegments(t *testing.T, s *FileStore, n int) []hash.Hash {
 }
 
 // TestFileStoreMmapSealedReads pins the mmap read path: multi-segment
-// stores serve sealed reads as claimed zero-copy chunks that the verifying
-// layer accepts, and the active tail still serves verified copies.
+// stores serve sealed reads as zero-copy chunks that the verifying layer
+// accepts, and the active tail serves copies.
 func TestFileStoreMmapSealedReads(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")

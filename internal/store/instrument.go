@@ -22,15 +22,8 @@ type Kinder interface {
 // KindOf returns the backend kind of st, walking wrappers; "store" when no
 // layer declares one.
 func KindOf(st Store) string {
-	for st != nil {
-		if k, ok := st.(Kinder); ok {
-			return k.StoreKind()
-		}
-		u, ok := st.(interface{ Unwrap() Store })
-		if !ok {
-			break
-		}
-		st = u.Unwrap()
+	if k, ok := As[Kinder](st); ok {
+		return k.StoreKind()
 	}
 	return "store"
 }
@@ -55,8 +48,8 @@ const latSampleMask = 31
 // construction, so the common per-op cost is a handful of atomic adds.
 //
 // The wrapper is transparent to every capability discovery in the tree:
-// batch paths are instrumented natively, NodeCache/SinkHashers forward,
-// and Unwrap exposes the inner store for GC/scrub/heal discovery.
+// batch paths are instrumented natively, NodeCache forwards, and Unwrap
+// exposes the inner store to sink tuning and to As (GC/scrub/heal discovery).
 type instrumentedStore struct {
 	Store
 	kind string
@@ -116,50 +109,8 @@ func InstrumentSlow(inner Store, reg *obs.Registry, logger *slog.Logger, slowOp 
 	}
 	s.get, s.put, s.has = mk("get"), mk("put"), mk("has")
 	s.getB, s.putB, s.hasB = mk("get_batch"), mk("put_batch"), mk("has_batch")
-	if vi, ok := inner.(VerifiedIndexer); ok {
-		// Forward the verified-index capability natively (instrumenting
-		// GetVerified as a get), so the verifier's warm fast path keeps
-		// working — and keeps being counted — through the metrics layer.
-		return &instrumentedVerifiedStore{instrumentedStore: s, vidx: vi}
-	}
 	return s
 }
-
-// instrumentedVerifiedStore is an instrumentedStore over an inner that also
-// offers the VerifiedIndexer capability.  A separate type (rather than
-// optional methods) so the capability is visible exactly when the inner store
-// actually has it.
-type instrumentedVerifiedStore struct {
-	*instrumentedStore
-	vidx VerifiedIndexer
-}
-
-var _ VerifiedIndexer = (*instrumentedVerifiedStore)(nil)
-
-// GetVerified implements VerifiedIndexer, counted under the get metrics.
-func (s *instrumentedVerifiedStore) GetVerified(id hash.Hash) (*chunk.Chunk, bool, error) {
-	start := s.begin(&s.get)
-	c, okv, err := s.vidx.GetVerified(id)
-	s.observe(&s.get, start, err)
-	if c != nil {
-		s.rdB.Add(int64(len(c.Data())))
-	}
-	return c, okv, err
-}
-
-// MarkVerified implements VerifiedIndexer.
-func (s *instrumentedVerifiedStore) MarkVerified(id hash.Hash, epoch uint64) {
-	s.vidx.MarkVerified(id, epoch)
-}
-
-// UnmarkVerified implements VerifiedIndexer.
-func (s *instrumentedVerifiedStore) UnmarkVerified(id hash.Hash) { s.vidx.UnmarkVerified(id) }
-
-// UnmarkAllVerified implements VerifiedIndexer.
-func (s *instrumentedVerifiedStore) UnmarkAllVerified() { s.vidx.UnmarkAllVerified() }
-
-// VerifiedServes implements VerifiedIndexer.
-func (s *instrumentedVerifiedStore) VerifiedServes() int64 { return s.vidx.VerifiedServes() }
 
 // begin returns the start time when this operation's latency will be
 // recorded (sampled, or always under a slow-op threshold), else the zero
@@ -261,20 +212,16 @@ func (s *instrumentedStore) HasBatch(ids []hash.Hash) ([]bool, error) {
 // NodeCache forwards the node-cache capability through the wrapper.
 func (s *instrumentedStore) NodeCache() *nodecache.Cache { return NodeCacheOf(s.Store) }
 
-// SinkHashers forwards the tuning capability through the wrapper.
-func (s *instrumentedStore) SinkHashers() int { return SinkHashersOf(s.Store) }
-
 // StoreKind implements Kinder (the wrapper reports the backend it fronts).
 func (s *instrumentedStore) StoreKind() string { return s.kind }
 
-// Unwrap exposes the inner store (GC/scrub/heal capability discovery).
+// Unwrap exposes the inner store (capability discovery through As).
 func (s *instrumentedStore) Unwrap() Store { return s.Store }
 
 var (
 	_ BatchStore        = (*instrumentedStore)(nil)
 	_ BatchReadStore    = (*instrumentedStore)(nil)
 	_ NodeCacheProvider = (*instrumentedStore)(nil)
-	_ SinkTuner         = (*instrumentedStore)(nil)
 	_ Kinder            = (*instrumentedStore)(nil)
 	_ Kinder            = (*MemStore)(nil)
 	_ Kinder            = (*FileStore)(nil)

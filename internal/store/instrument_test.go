@@ -104,6 +104,9 @@ func TestInstrumentTransparent(t *testing.T) {
 	}
 }
 
+// storeOnly hides every optional method of its inner store.
+type storeOnly struct{ Store }
+
 func TestKindOf(t *testing.T) {
 	ms := NewMemStore()
 	if got := KindOf(ms); got != "mem" {
@@ -112,8 +115,12 @@ func TestKindOf(t *testing.T) {
 	if got := KindOf(WithNodeCache(ms, nodecache.New(1024))); got != "mem" {
 		t.Errorf("wrapped mem store kind = %q", got)
 	}
-	if got := KindOf(NewCountingStore(ms)); got != "store" {
-		// CountingStore has no Unwrap; the generic fallback applies.
+	if got := KindOf(NewCountingStore(ms)); got != "mem" {
+		// CountingStore unwraps like every other wrapper.
 		t.Errorf("counting store kind = %q", got)
+	}
+	if got := KindOf(NewCountingStore(storeOnly{ms})); got != "store" {
+		// No layer declares a kind: the generic fallback applies.
+		t.Errorf("kindless store kind = %q", got)
 	}
 }

@@ -32,11 +32,6 @@ func NewMemStore() *MemStore {
 	return &MemStore{chunks: make(map[hash.Hash]*chunk.Chunk)}
 }
 
-// VerifyCacheTrusted implements VerifyCacheTruster: the store is this
-// process's own memory, and the bytes behind an id never change once stored
-// (Repair re-verifies before replacing), so no placement epoch is needed.
-func (s *MemStore) VerifyCacheTrusted() bool { return true }
-
 // Put implements Store.
 func (m *MemStore) Put(c *chunk.Chunk) (bool, error) {
 	m.mu.Lock()

@@ -11,6 +11,16 @@
 //     instrument behind the storage-efficiency experiments (Fig 4).
 //   - MaliciousStore: wrapper that can corrupt or forge chunks, the threat
 //     model for the tamper-evidence experiments (Fig 6).
+//
+// Verification has one witness per fact.  A chunk's id is either computed
+// from its bytes in this process (the chunk carries a chunk.Provenance
+// token) or merely claimed by whoever handed the chunk over.  Each backend
+// judges the bytes it holds: MemStore keeps the chunks it was given, and
+// FileStore stamps each index entry with the token of the bytes it points
+// at, hashing a record in place on its first read when no token exists yet.
+// VerifyingStore is the guard on top of any stack: it pins every returned
+// chunk to the requested id and rehashes whatever is still claimed — which
+// is what a wire, fault-injecting or malicious layer hands back.
 package store
 
 import (
@@ -67,6 +77,11 @@ type Stats struct {
 	DedupHits int64
 	// Gets counts chunk retrievals.
 	Gets int64
+	// StampedGets counts reads the backend answered on its own stored
+	// verdict, paying no hash (FileStore's index stamps).
+	StampedGets int64
+	// HashedGets counts reads the backend hashed before answering.
+	HashedGets int64
 }
 
 // DedupRatio returns LogicalBytes/PhysicalBytes (1.0 means no sharing).
@@ -192,9 +207,8 @@ type SweepStats struct {
 // garbage; memory stores ignore the ratio).
 //
 // keep may be called with internal locks held and must not call back into
-// the store.  Stores without this capability (and without the legacy
-// per-chunk core.Collectable surface) are not collectable: core.DB.GC
-// returns ErrNotCollectable for them.
+// the store.  Stores without this capability are not collectable:
+// core.DB.GC returns ErrNotCollectable for them.
 type Collector interface {
 	Sweep(keep func(hash.Hash) bool, minDeadRatio float64) (SweepStats, error)
 }
@@ -260,6 +274,25 @@ type ScrubStats struct {
 	Lost []hash.Hash
 	// ElapsedNs is the wall time of the pass.
 	ElapsedNs int64
+}
+
+// As walks st's wrapper stack — st itself, then each layer's Unwrap — and
+// returns the first layer that is a T.  It is how callers find a capability
+// (Collector, Scrubber, Repairer, ...) through whatever layering was
+// assembled above the store that has it.
+func As[T any](st Store) (T, bool) {
+	for st != nil {
+		if t, ok := st.(T); ok {
+			return t, true
+		}
+		u, ok := st.(interface{ Unwrap() Store })
+		if !ok {
+			break
+		}
+		st = u.Unwrap()
+	}
+	var zero T
+	return zero, false
 }
 
 // PutBatch stores cs into s, using the native batch path when s implements

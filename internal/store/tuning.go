@@ -60,9 +60,8 @@ func (s *tunedStore) NodeCache() *nodecache.Cache { return NodeCacheOf(s.Store) 
 func (s *tunedStore) Unwrap() Store { return s.Store }
 
 // SinkHashersOf returns the hashing preference attached to st, or 0 when no
-// layer carries one.  Wrappers forward the capability (like NodeCache), and
-// any Unwrap chain is walked, so the preference survives whatever layering
-// core.Open assembles.
+// layer carries one.  The Unwrap chain is walked, so the preference
+// survives whatever layering core.Open assembles.
 func SinkHashersOf(st Store) int {
 	for st != nil {
 		if t, ok := st.(SinkTuner); ok {
@@ -78,12 +77,6 @@ func SinkHashersOf(st Store) int {
 	}
 	return 0
 }
-
-// SinkHashers forwards the tuning capability through the verifying wrapper.
-func (v *VerifyingStore) SinkHashers() int { return SinkHashersOf(v.Inner) }
-
-// SinkHashers forwards the tuning capability through the counting wrapper.
-func (c *CountingStore) SinkHashers() int { return SinkHashersOf(c.Inner) }
 
 var (
 	_ SinkTuner         = (*tunedStore)(nil)

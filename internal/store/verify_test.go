@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,121 +12,65 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// VerifiedSet unit tests
+// One guard for every stack
 // ---------------------------------------------------------------------------
 
-func vsID(i int) hash.Hash {
-	return hash.Of([]byte(fmt.Sprintf("verified-set-%d", i)))
-}
-
-func TestVerifiedSetHitAddInvalidate(t *testing.T) {
-	s := NewVerifiedSet(1 << 20)
-	id := vsID(1)
-	if s.Hit(id, 0) {
-		t.Fatal("empty set reported a hit")
-	}
-	s.Add(id, 0)
-	if !s.Hit(id, 0) {
-		t.Fatal("added id not hit")
-	}
-	s.Invalidate(id)
-	if s.Hit(id, 0) {
-		t.Fatal("invalidated id still hit")
-	}
-	s.Add(id, 0)
-	s.InvalidateAll()
-	if s.Hit(id, 0) || s.Len() != 0 {
-		t.Fatalf("InvalidateAll left entries: len=%d", s.Len())
-	}
-}
-
-// TestVerifiedSetEpochStaleness pins the relocation contract: an entry
-// stamped with an older placement epoch is a miss (and is evicted), because
-// the id may have been re-homed by compaction or quarantine since it was
-// verified.
-func TestVerifiedSetEpochStaleness(t *testing.T) {
-	s := NewVerifiedSet(1 << 20)
-	id := vsID(2)
-	s.Add(id, 1)
-	if !s.Hit(id, 1) {
-		t.Fatal("same-epoch hit failed")
-	}
-	if s.Hit(id, 2) {
-		t.Fatal("stale-epoch entry reported a hit")
-	}
-	// The stale entry must have been dropped, not left to match epoch 1 again.
-	if s.Hit(id, 1) {
-		t.Fatal("stale entry survived the epoch-bumped probe")
-	}
-	s.Add(id, 2)
-	if !s.Hit(id, 2) {
-		t.Fatal("re-added id at new epoch not hit")
-	}
-}
-
-// TestVerifiedSetBudgetBounded pins that the two-generation rotation keeps
-// the entry count bounded by the byte budget no matter how many ids flow
-// through, and that recently added ids survive rotation.
-func TestVerifiedSetBudgetBounded(t *testing.T) {
-	const budget = 64 * 2 * 16 * 64 // capPerGen = 64 per shard
-	s := NewVerifiedSet(budget)
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		s.Add(vsID(i), 0)
-	}
-	// Hard bound: hot+cold per shard, 16 shards.
-	if max := 64 * 2 * 16; s.Len() > max {
-		t.Fatalf("set holds %d entries, budget allows at most %d", s.Len(), max)
-	}
-	if !s.Hit(vsID(n-1), 0) {
-		t.Fatal("most recently added id already evicted")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Trust gating
-// ---------------------------------------------------------------------------
-
-// TestVerifyCacheTrustGating pins which stacks may carry a verified-id set:
-// stores that own their bytes (mem, file) and pass-through wrappers over
-// them are eligible; anything that cannot vouch for stable storage — the
-// malicious store stands in for every wire/untrusted boundary — disables the
-// cache automatically, with no configuration.
+// TestVerifyCacheTrustGating pins that the verifying store makes no trust
+// decision per stack: the same guard runs over every layering.  Proven
+// chunks (hashed in this process) pass without a rehash in the guard, and a
+// substitution behind a malicious layer — the stand-in for every wire or
+// untrusted boundary — is caught on every read.
 func TestVerifyCacheTrustGating(t *testing.T) {
-	mem := NewMemStore()
-	cases := []struct {
-		name    string
-		inner   Store
-		enabled bool
+	for _, tc := range []struct {
+		name  string
+		inner func(mem Store) (Store, *MaliciousStore)
 	}{
-		{"mem", mem, true},
-		{"counting-over-mem", NewCountingStore(mem), true},
-		{"malicious-over-mem", NewMaliciousStore(mem), false},
-		{"counting-over-malicious", NewCountingStore(NewMaliciousStore(mem)), false},
-	}
-	for _, tc := range cases {
+		{"mem", func(mem Store) (Store, *MaliciousStore) { return mem, nil }},
+		{"counting-over-mem", func(mem Store) (Store, *MaliciousStore) { return NewCountingStore(mem), nil }},
+		{"malicious-over-mem", func(mem Store) (Store, *MaliciousStore) {
+			mal := NewMaliciousStore(mem)
+			return mal, mal
+		}},
+		{"counting-over-malicious", func(mem Store) (Store, *MaliciousStore) {
+			mal := NewMaliciousStore(mem)
+			return NewCountingStore(mal), mal
+		}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			v := NewVerifyingStoreCache(tc.inner, 1<<20)
-			if got := v.VerifyStats().Enabled; got != tc.enabled {
-				t.Fatalf("cache enabled = %v, want %v", got, tc.enabled)
+			inner, mal := tc.inner(NewMemStore())
+			v := NewVerifyingStore(inner)
+			c := mkChunk(11)
+			if _, err := v.Put(c); err != nil {
+				t.Fatal(err)
+			}
+			before := hash.Digests()
+			if _, err := v.Get(c.ID()); err != nil {
+				t.Fatalf("honest read failed: %v", err)
+			}
+			if got := hash.Digests() - before; got != 0 {
+				t.Fatalf("honest read of a proven chunk paid %d digests, want 0", got)
+			}
+			if mal == nil {
+				return
+			}
+			if ok, err := mal.CorruptFlip(c.ID(), 1, 2); err != nil || !ok {
+				t.Fatalf("CorruptFlip: ok=%v err=%v", ok, err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := v.Get(c.ID()); !errors.Is(err, chunk.ErrCorrupt) {
+					t.Fatalf("read %d of tampered chunk: err=%v, want ErrCorrupt", i, err)
+				}
 			}
 		})
 	}
-	t.Run("negative-budget-disables", func(t *testing.T) {
-		v := NewVerifyingStoreCache(mem, -1)
-		if v.VerifyStats().Enabled {
-			t.Fatal("negative budget did not disable the cache")
-		}
-	})
 }
 
-// TestVerifyCacheOffStillDetectsTamper pins that over an untrusted stack the
-// verifying store behaves exactly as before this optimization existed: every
-// read pays the full recheck and every substitution is caught, on the first
-// read and on every repeat read.
+// TestVerifyCacheOffStillDetectsTamper pins that over an untrusted stack
+// every substitution is caught, on the first read and on every repeat read,
+// and no read is counted as served on a stamp.
 func TestVerifyCacheOffStillDetectsTamper(t *testing.T) {
 	mal := NewMaliciousStore(NewMemStore())
-	v := NewVerifyingStoreCache(mal, 1<<20)
+	v := NewVerifyingStore(mal)
 	c := mkChunk(7)
 	if _, err := v.Put(c); err != nil {
 		t.Fatal(err)
@@ -141,38 +87,47 @@ func TestVerifyCacheOffStillDetectsTamper(t *testing.T) {
 		}
 	}
 	if v.VerifyStats().Hits != 0 {
-		t.Fatalf("disabled cache recorded hits: %+v", v.VerifyStats())
+		t.Fatalf("untrusted stack recorded stamp hits: %+v", v.VerifyStats())
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Amortization over a trusted file store
+// FileStore stamps
 // ---------------------------------------------------------------------------
 
-// warmFileStack builds a small multi-segment file store (sealed segments are
-// served as claimed mmap chunks — the path that pays a recheck) behind a
-// verifying store with the cache on.
-func warmFileStack(t *testing.T, cacheBytes int64) (*FileStore, *VerifyingStore, []hash.Hash) {
+// warmFileStack builds a small multi-segment file store and reopens it, so
+// every record sits in a sealed, mmap-served segment with no stamp yet (as
+// after a restart), behind a verifying store.
+func warmFileStack(t *testing.T) (*FileStore, *VerifyingStore, []hash.Hash) {
 	t.Helper()
 	if !mmapSupported {
-		t.Skip("no mmap on this platform; sealed reads are unclaimed")
+		t.Skip("no mmap on this platform; sealed reads use pread")
 	}
-	fs, err := OpenFileStoreSegmented(t.TempDir(), 2048)
+	dir := t.TempDir()
+	fs, err := OpenFileStoreSegmented(dir, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { fs.Close() })
 	ids := fillSegments(t, fs, 60)
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fs, err = OpenFileStoreSegmented(dir, 2048); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
 	if fs.actSeg.Load() < 2 {
 		t.Fatal("expected several sealed segments")
 	}
-	return fs, NewVerifyingStoreCache(fs, cacheBytes), ids
+	return fs, NewVerifyingStore(fs), ids
 }
 
-// TestVerifyCacheSkipsRepeatRehash is the tentpole pin: the first verified
-// read of a sealed chunk pays exactly one digest, the second pays zero.
+// TestVerifyCacheSkipsRepeatRehash is the tentpole pin: the first read of an
+// unstamped sealed record pays exactly one digest (FileStore hashes it in
+// place and stamps the entry), and warm reads pay zero — through the
+// verifying store and through the bare store alike.
 func TestVerifyCacheSkipsRepeatRehash(t *testing.T) {
-	_, v, ids := warmFileStack(t, 1<<20)
+	fs, v, ids := warmFileStack(t)
 	id := ids[0]
 
 	before := hash.Digests()
@@ -188,12 +143,15 @@ func TestVerifyCacheSkipsRepeatRehash(t *testing.T) {
 		if _, err := v.Get(id); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := fs.Get(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := hash.Digests() - before; got != 0 {
-		t.Fatalf("warm verified reads paid %d digests, want 0", got)
+		t.Fatalf("warm sealed reads paid %d digests, want 0", got)
 	}
 	st := v.VerifyStats()
-	if !st.Enabled || st.Hits < 5 || st.SkippedHashes < 5 {
+	if st.Hits < 10 || st.Misses != 1 || st.SkippedHashes < 10 {
 		t.Fatalf("verify stats after warm reads: %+v", st)
 	}
 }
@@ -201,7 +159,7 @@ func TestVerifyCacheSkipsRepeatRehash(t *testing.T) {
 // TestVerifyCacheGetBatchAmortizes pins the batch path: a warm GetBatch over
 // already-verified ids pays zero digests.
 func TestVerifyCacheGetBatchAmortizes(t *testing.T) {
-	_, v, ids := warmFileStack(t, 1<<20)
+	_, v, ids := warmFileStack(t)
 	batch := ids[:20]
 
 	before := hash.Digests()
@@ -234,7 +192,7 @@ func TestVerifyCacheGetBatchAmortizes(t *testing.T) {
 func TestVerifyCacheParallelBatchRecheck(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			_, v, ids := warmFileStack(t, 1<<20)
+			_, v, ids := warmFileStack(t)
 			v.SetVerifyWorkers(workers)
 			if _, err := v.GetBatch(ids); err != nil {
 				t.Fatal(err)
@@ -261,67 +219,66 @@ func TestVerifyCacheParallelBatchRecheck(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Invalidation: relocation and scrub
+// Relocation and scrub
 // ---------------------------------------------------------------------------
 
-// TestCompactionInvalidatesVerifyCache pins the placement-epoch contract: a
-// sweep that compacts segments re-homes records, so every warm entry goes
-// stale and the next read repays its recheck.
+// TestCompactionInvalidatesVerifyCache pins the relocation contract: a sweep
+// that compacts segments re-homes records into fresh, unstamped index
+// entries, so a survivor's next read hashes the moved bytes (at most one
+// digest), returns them intact, and is warm again afterwards.
 func TestCompactionInvalidatesVerifyCache(t *testing.T) {
-	fs, v, ids := warmFileStack(t, 1<<20)
+	fs, v, ids := warmFileStack(t)
 	keep := ids[0]
-	if _, err := v.Get(keep); err != nil {
+	want, err := v.Get(keep)
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := hash.Digests()
-	if _, err := v.Get(keep); err != nil {
-		t.Fatal(err)
-	}
-	if got := hash.Digests() - before; got != 0 {
-		t.Fatalf("warm read before sweep paid %d digests", got)
-	}
+	wantData := append([]byte(nil), want.Data()...)
 
 	res, err := fs.Sweep(func(id hash.Hash) bool { return id == keep }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CompactedSegments == 0 {
-		t.Fatal("sweep compacted nothing; test needs a relocation")
+	if res.CompactedSegments == 0 || len(res.MovedIDs) == 0 {
+		t.Fatalf("sweep moved nothing; test needs a relocation: %+v", res)
 	}
 
-	invBefore := v.VerifyStats().Invalidations
-	before = hash.Digests()
-	if _, err := v.Get(keep); err != nil {
+	before := hash.Digests()
+	got, err := v.Get(keep)
+	if err != nil {
 		t.Fatalf("surviving chunk unreadable after compaction: %v", err)
 	}
-	if got := hash.Digests() - before; got != 1 {
-		t.Fatalf("post-compaction read paid %d digests, want 1 (stale entry must not be served)", got)
+	if n := hash.Digests() - before; n > 1 {
+		t.Fatalf("post-compaction read paid %d digests, want at most 1", n)
 	}
-	if v.VerifyStats().Invalidations <= invBefore {
-		t.Fatal("stale epoch probe did not count an invalidation")
+	if !bytes.Equal(got.Data(), wantData) {
+		t.Fatal("post-compaction read returned different bytes")
 	}
-	// And the re-verified entry is warm again at the new epoch.
 	before = hash.Digests()
 	if _, err := v.Get(keep); err != nil {
 		t.Fatal(err)
 	}
-	if got := hash.Digests() - before; got != 0 {
-		t.Fatalf("re-warmed read paid %d digests, want 0", got)
+	if n := hash.Digests() - before; n != 0 {
+		t.Fatalf("re-warmed read paid %d digests, want 0", n)
 	}
 }
 
 // TestScrubBypassesVerifyCache pins the non-negotiable scrub property: scrub
-// reads segment bytes directly and never consults the verified-id set, so
-// rot that creeps in *after* a verified read is still classified.  This is
-// what closes the cache's accepted staleness window.
+// reads segment bytes directly and never consults the index stamps, so rot
+// that creeps in *after* a verified read is still classified — and a direct
+// fs.Scrub(), with no engine above it, leaves the lost id unreadable.
 func TestScrubBypassesVerifyCache(t *testing.T) {
-	fs, v, ids := warmFileStack(t, 1<<20)
-	// Verify and cache every id in segment 0 (and the rest) first.
+	fs, v, ids := warmFileStack(t)
+	// Stamp every record first.
 	if _, err := v.GetBatch(ids); err != nil {
 		t.Fatal(err)
 	}
-	if v.VerifyStats().Entries == 0 {
-		t.Fatal("warm pass cached nothing")
+	before := hash.Digests()
+	if _, err := v.GetBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	if n := hash.Digests() - before; n != 0 {
+		t.Fatalf("warm pass paid %d digests; records were not stamped", n)
 	}
 	flipPayloadByte(t, fs.segmentPath(0))
 
@@ -330,16 +287,51 @@ func TestScrubBypassesVerifyCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Corrupt != 1 || len(st.Lost) != 1 {
-		t.Fatalf("scrub over a warm cache missed the rot: %+v", st)
+		t.Fatalf("scrub over stamped records missed the rot: %+v", st)
 	}
 	if fs.Health() == nil {
 		t.Fatal("store healthy after scrub found corruption")
 	}
-	// Quarantine re-homed the victim segment's survivors: the placement
-	// epoch moved, so no pre-scrub entry can satisfy a read anymore.
 	lost := st.Lost[0]
 	if _, err := v.Get(lost); err == nil {
 		t.Fatal("lost chunk still readable through the verifying store")
+	}
+	if _, err := fs.Get(lost); err == nil {
+		t.Fatal("lost chunk still readable from the bare store")
+	}
+}
+
+// TestVerifyStampRejectsForgedClaimedWrite pins that FileStore never stamps
+// bytes it has not hashed: a claimed chunk whose payload does not hash to
+// its id, written raw (no verifying layer), reads back as ErrCorrupt on
+// every read — from the active tail and from a sealed segment.
+func TestVerifyStampRejectsForgedClaimedWrite(t *testing.T) {
+	fs, err := OpenFileStoreSegmented(t.TempDir(), 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	genuine := mkChunk(5)
+	forged := chunk.NewClaimed(genuine.Type(), []byte("not the genuine payload"), genuine.ID())
+	if _, err := fs.Put(forged); err != nil {
+		t.Fatal(err)
+	}
+	readTwice := func(where string) {
+		for i := 0; i < 2; i++ {
+			if _, err := fs.Get(genuine.ID()); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s read %d of a forged record: err=%v, want ErrCorrupt", where, i, err)
+			}
+		}
+	}
+	readTwice("tail")
+	for i := 0; fs.actSeg.Load() == 0; i++ {
+		if _, err := fs.Put(fileChunk(100 + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readTwice("sealed")
+	if st := fs.Stats(); st.StampedGets != 0 {
+		t.Fatalf("forged record served on a stamp: %+v", st)
 	}
 }
 
@@ -360,7 +352,7 @@ func TestSinkIngestOneHashPerChunk(t *testing.T) {
 		{"async", SinkOptions{BatchSize: 8, Hashers: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			v := NewVerifyingStoreCache(NewMemStore(), 1<<20)
+			v := NewVerifyingStore(NewMemStore())
 			sink := NewChunkSink(v, tc.opt)
 			defer sink.Close()
 
@@ -386,18 +378,31 @@ func TestSinkIngestOneHashPerChunk(t *testing.T) {
 	}
 }
 
-// TestPutSeedsVerifyCache pins that a verified write warms the set: bytes
-// the writer just hashed (or recheck just confirmed) need no rehash on the
-// first read back — as long as the read returns a claimed chunk.
+// TestPutSeedsVerifyCache pins that a verified write stamps its record:
+// bytes the writer just hashed (or recheck just confirmed) need no rehash
+// when read back — from the active tail's positioned-read path, and again
+// after the record's segment sealed.
 func TestPutSeedsVerifyCache(t *testing.T) {
-	fs, v, _ := warmFileStack(t, 1<<20)
+	fs, v, _ := warmFileStack(t)
 	c := mkChunk(4242)
 	if _, err := v.Put(c); err != nil {
 		t.Fatal(err)
 	}
-	// Force the tail (holding c) to seal so the read back is a claimed mmap
-	// chunk; a pread from the active tail is verified by construction and
-	// never consults the cache.
+	before := hash.Digests()
+	for i := 0; i < 3; i++ {
+		got, err := v.Get(c.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Data(), c.Data()) {
+			t.Fatal("tail read returned different bytes")
+		}
+	}
+	if got := hash.Digests() - before; got != 0 {
+		t.Fatalf("tail re-reads of a just-written chunk paid %d digests, want 0", got)
+	}
+	// Force the tail (holding c) to seal so the next read is served from a
+	// mapping.
 	sealedBefore := fs.actSeg.Load()
 	for i := 0; i < 30; i++ {
 		if _, err := fs.Put(fileChunk(10_000 + i)); err != nil {
@@ -410,11 +415,11 @@ func TestPutSeedsVerifyCache(t *testing.T) {
 	if fs.actSeg.Load() == sealedBefore {
 		t.Fatal("tail never rotated; chunk under test still unsealed")
 	}
-	before := hash.Digests()
+	before = hash.Digests()
 	if _, err := v.Get(c.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if got := hash.Digests() - before; got != 0 {
-		t.Fatalf("first read of a just-written chunk paid %d digests, want 0", got)
+		t.Fatalf("sealed read of a just-written chunk paid %d digests, want 0", got)
 	}
 }

@@ -59,17 +59,8 @@ func (c *CountingStore) Has(id hash.Hash) (bool, error) { return c.Inner.Has(id)
 // Stats implements Store.
 func (c *CountingStore) Stats() Stats { return c.Inner.Stats() }
 
-// VerifyCacheTrusted forwards the trust capability: phase accounting does
-// not change whose bytes are served.
-func (c *CountingStore) VerifyCacheTrusted() bool { return verifyCacheTrusted(c.Inner) }
-
-// PlacementEpoch forwards the epoch capability through the counting wrapper.
-func (c *CountingStore) PlacementEpoch() uint64 {
-	if ep := placementEpochOf(c.Inner); ep != nil {
-		return ep()
-	}
-	return 0
-}
+// Unwrap exposes the inner store (capability discovery through As).
+func (c *CountingStore) Unwrap() Store { return c.Inner }
 
 // Mark snapshots the current counters under a label.
 func (c *CountingStore) Mark(label string) {
@@ -164,6 +155,9 @@ func (m *MaliciousStore) Has(id hash.Hash) (bool, error) { return m.Inner.Has(id
 // Stats implements Store.
 func (m *MaliciousStore) Stats() Stats { return m.Inner.Stats() }
 
+// Unwrap exposes the inner store (capability discovery through As).
+func (m *MaliciousStore) Unwrap() Store { return m.Inner }
+
 // Get implements Store: it serves the forged payload for attacked ids.
 //
 // Note that the forged chunk is returned *as if it were genuine* — no error —
@@ -226,148 +220,43 @@ func (m *MaliciousStore) AttackCount() int {
 	return len(m.corrupted)
 }
 
-// VerifyingStore wraps a Store and checks every chunk read against its id,
-// converting silent corruption into chunk.ErrCorrupt.  The ForkBase engine
-// always reads through a VerifyingStore, which is how a uid certifies the
-// entire reachable object graph.
-//
-// Verification is amortized, not weakened: once an id's inner-store bytes
-// have been rehashed on this instance, repeat reads skip the hash via a
-// byte-budgeted VerifiedSet — but only when the inner stack is trusted
-// (VerifyCacheTrusted walk: local Mem/File stores qualify; anything with a
-// wire, fault-injection, or adversarial layer does not), and only while the
-// store's placement epoch is unchanged.  Writes honor in-process provenance
-// (chunk.Claimed() == false) instead of rehashing; claimed chunks from disk,
-// the wire, or untrusted constructors still pay the full recheck.
+// VerifyingStore is the tamper guard the engine reads through: every chunk
+// it returns hashes to the requested id, which is how a uid certifies the
+// entire reachable object graph.  It makes no trust decision about the stack
+// below it.  A chunk whose id was computed in this process (chunk.Claimed()
+// == false) is already proven, so the guard only pins it to the requested
+// id; a claimed chunk — from the wire, a fault injector, a malicious store,
+// or a claimed write — is rehashed.  Over MemStore and FileStore, which only
+// ever return proven chunks, a read costs one atomic load and one id
+// comparison on top of the backend.
 type VerifyingStore struct {
 	Inner Store
-
-	// verified is the verified-id set; nil when the cache is disabled
-	// (untrusted inner stack or explicit opt-out).
-	verified *VerifiedSet
-	// epoch reads the inner store's placement epoch (constant 0 for stores
-	// that never relocate an id's bytes, like MemStore).
-	epoch func() uint64
-
-	// marker, when non-nil, is the inner store's verified-index capability:
-	// the verified witness lives inside the store's own index entry, so a
-	// warm point get returns with the verdict already resolved — no set
-	// probe, no epoch read.  Only engaged when the cache itself is enabled
-	// and the *immediate* inner implements it (a walk would let the fast
-	// path bypass intermediate wrappers' accounting).
-	marker VerifiedIndexer
 
 	// workers is the explicit recheck-pool preference shared with the sink's
 	// hasher tuning; 0 means "derive from GOMAXPROCS", negative pins batch
 	// rechecks to the calling goroutine.
 	workers atomic.Int64
 
-	// skippedHashes counts every rehash avoided by amortization: verified-id
-	// hits on reads plus provenance-trusted chunks on writes.
-	skippedHashes atomic.Int64
+	// rechecks counts claimed chunks this layer rehashed on reads.
+	rechecks atomic.Int64
+	// provenWrites counts written chunks whose provenance spared the recheck.
+	provenWrites atomic.Int64
 }
 
 var _ Store = (*VerifyingStore)(nil)
 
-// VerifyCacheTruster is the capability by which a store declares that its
-// bytes come from a boundary the verify cache may amortize over (local
-// memory or local disk owned by this process).  Transparent wrappers forward
-// it; wire clients, fault injectors, and adversarial test stores simply lack
-// it, which turns the cache off without any of them having to know it
-// exists.
-type VerifyCacheTruster interface {
-	VerifyCacheTrusted() bool
-}
-
-// VerifiedIndexer is the capability by which a trusted store co-locates the
-// verified-id witness with its own index, collapsing the verifier's warm-path
-// probe into the index lookup the store performs anyway.  The contract
-// mirrors VerifiedSet's exactly: MarkVerified records "the verifying layer
-// rehashed this id's bytes at this placement epoch", GetVerified answers a
-// read with that witness only while placement is unchanged, and the stamp
-// dies whenever the entry is rewritten or the epoch moves.  The chunk
-// returned by GetVerified keeps its claimed state — the verdict is carried
-// beside the chunk, never baked into it — so nothing downstream gains a way
-// to mint trusted chunks.
-type VerifiedIndexer interface {
-	// GetVerified must return a chunk whose ID() equals the requested id
-	// (FileStore's claimed reads stamp the index key into the chunk), so the
-	// verifier's fast path can skip the redundant id comparison.
-	GetVerified(id hash.Hash) (c *chunk.Chunk, verified bool, err error)
-	MarkVerified(id hash.Hash, epoch uint64)
-	UnmarkVerified(id hash.Hash)
-	UnmarkAllVerified()
-	VerifiedServes() int64
-}
-
-// PlacementEpocher is the capability by which a store exposes a counter that
-// bumps whenever previously-served bytes for an id may have been remapped
-// (segment compaction, quarantine rescue).  Verified-set entries are stamped
-// with it so a remap can never satisfy a stale "verified" hit.
-type PlacementEpocher interface {
-	PlacementEpoch() uint64
-}
-
-// verifyCacheTrusted walks the wrapper stack for the trust capability.  The
-// default is distrust: a stack is trusted only if some layer positively says
-// so and every layer above it is a transparent (Unwrap-able) wrapper.
-func verifyCacheTrusted(st Store) bool {
-	for st != nil {
-		if t, ok := st.(VerifyCacheTruster); ok {
-			return t.VerifyCacheTrusted()
-		}
-		u, ok := st.(interface{ Unwrap() Store })
-		if !ok {
-			return false
-		}
-		st = u.Unwrap()
-	}
-	return false
-}
-
-// placementEpochOf finds the epoch capability in the stack, or nil.
-func placementEpochOf(st Store) func() uint64 {
-	for st != nil {
-		if p, ok := st.(PlacementEpocher); ok {
-			return p.PlacementEpoch
-		}
-		u, ok := st.(interface{ Unwrap() Store })
-		if !ok {
-			return nil
-		}
-		st = u.Unwrap()
-	}
-	return nil
-}
-
-// DefaultVerifyCacheBytes is the default verified-id set budget (~128k
-// entries): big enough to cover the hot node set of a large tree, small
-// next to the node cache it sits behind.
+// DefaultVerifyCacheBytes no longer sizes anything: verification keeps no
+// cache of its own (each backend stamps its own records), so the constant
+// survives only for callers that still report it.
 const DefaultVerifyCacheBytes = 8 << 20
 
-// NewVerifyingStore wraps inner with the default verify-cache budget.  The
-// cache engages only over trusted local stacks; over anything else this is
-// exactly the always-rehash verifier.
+// NewVerifyingStore wraps inner with the tamper guard.
 func NewVerifyingStore(inner Store) *VerifyingStore {
-	return NewVerifyingStoreCache(inner, 0)
+	return &VerifyingStore{Inner: inner}
 }
 
-// NewVerifyingStoreCache wraps inner with an explicit verified-id budget:
-// 0 picks DefaultVerifyCacheBytes, negative disables the cache entirely.
-func NewVerifyingStoreCache(inner Store, cacheBytes int64) *VerifyingStore {
-	v := &VerifyingStore{Inner: inner}
-	if cacheBytes == 0 {
-		cacheBytes = DefaultVerifyCacheBytes
-	}
-	if cacheBytes > 0 && verifyCacheTrusted(inner) {
-		v.verified = NewVerifiedSet(cacheBytes)
-		v.epoch = placementEpochOf(inner)
-		if mi, ok := inner.(VerifiedIndexer); ok {
-			v.marker = mi
-		}
-	}
-	return v
-}
+// Unwrap exposes the inner store (capability discovery through As).
+func (v *VerifyingStore) Unwrap() Store { return v.Inner }
 
 // SetVerifyWorkers sets the batch-recheck worker preference (the same value
 // as the sink's hasher tuning: n > 0 fixes the pool size, n < 0 pins
@@ -392,39 +281,16 @@ func (v *VerifyingStore) verifyWorkers() int {
 	return n
 }
 
-func (v *VerifyingStore) epochNow() uint64 {
-	if v.epoch == nil {
-		return 0
-	}
-	return v.epoch()
-}
-
-// recheckWrite verifies one chunk on the write path.  Chunks hashed by this
-// process (sink provenance, or already promoted by an earlier recheck) skip
-// the hash; claimed chunks are rehashed and, on success, promoted so the
-// next layer is free.
-func (v *VerifyingStore) recheckWrite(ch *chunk.Chunk) error {
-	if !ch.Claimed() {
-		v.skippedHashes.Add(1)
-		return nil
-	}
-	return ch.Recheck()
-}
-
 // Put implements Store.  Chunks whose id was merely *claimed* by an
 // untrusted party (chunk.NewClaimed) are rehashed and rejected on mismatch,
 // so forged content cannot enter the store under a genuine id.
 func (v *VerifyingStore) Put(ch *chunk.Chunk) (bool, error) {
-	if err := v.recheckWrite(ch); err != nil {
+	if !ch.Claimed() {
+		v.provenWrites.Add(1)
+	} else if err := ch.Recheck(); err != nil {
 		return false, err
 	}
-	ok, err := v.Inner.Put(ch)
-	if err == nil && v.verified != nil {
-		// The bytes just written are known-good: seed the witnesses so the
-		// first read back skips the rehash.
-		v.remember(ch.ID(), v.epochNow())
-	}
-	return ok, err
+	return v.Inner.Put(ch)
 }
 
 // PutBatch implements BatchStore.  Every claimed chunk in the batch is
@@ -435,7 +301,7 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	var work []int
 	for i, ch := range cs {
 		if !ch.Claimed() {
-			v.skippedHashes.Add(1)
+			v.provenWrites.Add(1)
 			continue
 		}
 		work = append(work, i)
@@ -443,14 +309,7 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	if err := recheckIndexes(cs, work, v.verifyWorkers()); err != nil {
 		return make([]bool, len(cs)), err
 	}
-	res, err := PutBatch(v.Inner, cs)
-	if err == nil && v.verified != nil {
-		ep := v.epochNow()
-		for _, ch := range cs {
-			v.remember(ch.ID(), ep)
-		}
-	}
-	return res, err
+	return PutBatch(v.Inner, cs)
 }
 
 // Has implements Store.
@@ -460,16 +319,32 @@ func (v *VerifyingStore) Has(id hash.Hash) (bool, error) { return v.Inner.Has(id
 // verification; a forged chunk is caught when it is actually read).
 func (v *VerifyingStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(v.Inner, ids) }
 
+// Get implements Store, verifying content against id.
+func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
+	c, err := v.Inner.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Verify(id); err != nil {
+		return nil, err
+	}
+	if c.Claimed() {
+		v.rechecks.Add(1)
+		if err := c.Recheck(); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
 // GetBatch implements BatchReadStore: every returned chunk passes the same
-// recheck-and-verify gauntlet as a point Get — with the rehashes for
-// verified-set misses fanned out across the recheck pool, so repl catch-up
-// and heal scale with cores.
+// checks as a point Get, with the rehashes of claimed chunks fanned out
+// across the recheck pool, so repl catch-up and heal scale with cores.
 func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	out, err := GetBatch(v.Inner, ids)
 	if err != nil {
 		return out, err
 	}
-	ep := v.epochNow()
 	var work []int
 	for i, c := range out {
 		if c == nil {
@@ -478,26 +353,12 @@ func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 		if err := c.Verify(ids[i]); err != nil {
 			return out, err
 		}
-		if !c.Claimed() {
-			continue
+		if c.Claimed() {
+			work = append(work, i)
 		}
-		if v.verified != nil && v.verified.Hit(ids[i], ep) {
-			continue // skip counted via the hit counter
-		}
-		work = append(work, i)
 	}
-	if err := recheckIndexes(out, work, v.verifyWorkers()); err != nil {
-		// Something in this batch failed to rehash; drop any witnesses for
-		// the batch so nothing corrupt lingers as "verified".
-		for _, i := range work {
-			v.forget(ids[i])
-		}
-		return out, err
-	}
-	for _, i := range work {
-		v.remember(ids[i], ep)
-	}
-	return out, nil
+	v.rechecks.Add(int64(len(work)))
+	return out, recheckIndexes(out, work, v.verifyWorkers())
 }
 
 // recheckIndexes rehashes cs[i] for each i in idx, fanning out across up to
@@ -551,166 +412,24 @@ func recheckIndexes(cs []*chunk.Chunk, idx []int, workers int) error {
 // Stats implements Store.
 func (v *VerifyingStore) Stats() Stats { return v.Inner.Stats() }
 
-// Get implements Store, verifying content against id.  Chunks whose id was
-// merely claimed by the inner store (FileStore's zero-copy mmap path trusts
-// its own index) are rehashed here — unless this instance already verified
-// the id at the current placement epoch, in which case the hash is skipped.
-func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
-	var (
-		c   *chunk.Chunk
-		err error
-	)
-	if v.marker != nil {
-		// Warm fast path: the inner store resolves the verified witness
-		// inside the index lookup it performs anyway, so a repeat read costs
-		// the bare get plus one id comparison.
-		var okv bool
-		c, okv, err = v.marker.GetVerified(id)
-		if err == nil && okv {
-			// No Verify(id) here: the capability contract pins the returned
-			// chunk's id to the request, and the witness already attests the
-			// bytes hash to it — the comparison would test the claim against
-			// itself.
-			return c, nil
-		}
-	} else {
-		c, err = v.Inner.Get(id)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Verify(id); err != nil {
-		return nil, err
-	}
-	if !c.Claimed() {
-		return c, nil
-	}
-	if err := v.recheckRemember(c, id); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// recheckRemember resolves a claimed chunk on the slow path: consult the
-// verified set, rehash on a miss, and record the outcome in both witnesses
-// (set and, when present, the inner store's verified index).
-func (v *VerifyingStore) recheckRemember(c *chunk.Chunk, id hash.Hash) error {
-	var ep uint64
-	if v.verified != nil {
-		ep = v.epochNow()
-		if v.verified.Hit(id, ep) {
-			// Every hit skips exactly one rehash; VerifyStats derives the
-			// skip count from the hit counter so the hot path pays a single
-			// atomic increment.
-			if v.marker != nil {
-				// Restamp: the set remembered what the index entry lost.
-				v.marker.MarkVerified(id, ep)
-			}
-			return nil
-		}
-	}
-	if err := c.Recheck(); err != nil {
-		v.forget(id)
-		return err
-	}
-	v.remember(id, ep)
-	return nil
-}
-
-// remember records a successful recheck of id at epoch ep in every witness.
-func (v *VerifyingStore) remember(id hash.Hash, ep uint64) {
-	if v.verified != nil {
-		v.verified.Add(id, ep)
-	}
-	if v.marker != nil {
-		v.marker.MarkVerified(id, ep)
-	}
-}
-
-// forget drops id from every witness after a failed recheck or an explicit
-// invalidation.
-func (v *VerifyingStore) forget(id hash.Hash) {
-	if v.verified != nil {
-		v.verified.Invalidate(id)
-	}
-	if v.marker != nil {
-		v.marker.UnmarkVerified(id)
-	}
-}
-
-// VerifyStats is a snapshot of the verifier's amortization counters.
+// VerifyStats is a snapshot of how reads and writes were verified.
 type VerifyStats struct {
-	// Enabled reports whether the verified-id set is active (trusted stack,
-	// non-negative budget).
-	Enabled bool `json:"enabled"`
-	// Hits/Misses/Invalidations are verified-set lookup outcomes.
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Invalidations int64 `json:"invalidations"`
-	// SkippedHashes counts every rehash amortized away: set hits on reads
-	// plus provenance-trusted chunks on writes.
+	// Hits counts reads the backend served on its own stamp, paying no hash.
+	Hits int64 `json:"hits"`
+	// Misses counts reads that paid a rehash, in the backend or in the guard.
+	Misses int64 `json:"misses"`
+	// SkippedHashes counts every rehash avoided: stamp hits on reads plus
+	// writes whose provenance spared the recheck.
 	SkippedHashes int64 `json:"skipped_hashes"`
-	// Entries/BudgetBytes describe the set's current size and bound.
-	Entries     int   `json:"entries"`
-	BudgetBytes int64 `json:"budget_bytes"`
 }
 
-// VerifyStats snapshots the amortization counters.
+// VerifyStats combines the backend's read verdicts (Stats) with the
+// guard's own rechecks.
 func (v *VerifyingStore) VerifyStats() VerifyStats {
-	st := VerifyStats{SkippedHashes: v.skippedHashes.Load()}
-	if v.verified != nil {
-		st.Enabled = true
-		st.Hits = v.verified.hits.Load()
-		st.Misses = v.verified.misses.Load()
-		st.Invalidations = v.verified.invalidations.Load()
-		st.Entries = v.verified.Len()
-		st.BudgetBytes = v.verified.budget
-		if v.marker != nil {
-			// Index-stamp serves are hits resolved inside the inner store.
-			st.Hits += v.marker.VerifiedServes()
-		}
-		// Each hit skipped exactly one rehash (reads); skippedHashes itself
-		// counts provenance-trusted writes.
-		st.SkippedHashes += st.Hits
+	st := v.Inner.Stats()
+	return VerifyStats{
+		Hits:          st.StampedGets,
+		Misses:        st.HashedGets + v.rechecks.Load(),
+		SkippedHashes: st.StampedGets + v.provenWrites.Load(),
 	}
-	return st
-}
-
-// Invalidate drops ids from the verified set (no-op when disabled).  Scrub,
-// quarantine, repair, heal and GC call this for every id whose inner-store
-// bytes they move, delete, or find damaged.
-func (v *VerifyingStore) Invalidate(ids ...hash.Hash) {
-	if v.verified == nil {
-		return
-	}
-	for _, id := range ids {
-		v.forget(id)
-	}
-}
-
-// InvalidateAll empties every witness (no-op when disabled).
-func (v *VerifyingStore) InvalidateAll() {
-	if v.verified != nil {
-		v.verified.InvalidateAll()
-	}
-	if v.marker != nil {
-		v.marker.UnmarkAllVerified()
-	}
-}
-
-// VerifierOf walks the wrapper stack for the verifying layer, so invalidation
-// hooks (GC, scrub, heal) reach it through whatever layering core.Open
-// assembled.  Returns nil if the stack has no verifier.
-func VerifierOf(st Store) *VerifyingStore {
-	for st != nil {
-		if v, ok := st.(*VerifyingStore); ok {
-			return v
-		}
-		u, ok := st.(interface{ Unwrap() Store })
-		if !ok {
-			return nil
-		}
-		st = u.Unwrap()
-	}
-	return nil
 }
