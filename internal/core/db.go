@@ -279,9 +279,6 @@ func (db *DB) kindOf(v value.Value) (index.Kind, error) {
 	return index.KindOfRoot(db.st, v.Root())
 }
 
-// NodeCache returns the decoded-node cache, or nil when disabled.
-func (db *DB) NodeCache() *nodecache.Cache { return db.ncache }
-
 // NodeCacheStats snapshots decoded-node cache effectiveness (zeros when the
 // cache is disabled — nodecache methods are nil-safe).
 func (db *DB) NodeCacheStats() nodecache.Stats { return db.ncache.Stats() }

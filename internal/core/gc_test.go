@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
-	"forkbase/internal/hash"
 	"forkbase/internal/nodecache"
 	"forkbase/internal/pos"
 	"forkbase/internal/store"
@@ -144,12 +142,7 @@ func TestGCOnWrappedStores(t *testing.T) {
 
 // opaqueStore hides every collection capability of its backing store — the
 // shape of a third-party store that implements only the base interface.
-type opaqueStore struct{ mem *store.MemStore }
-
-func (o opaqueStore) Put(c *chunk.Chunk) (bool, error)       { return o.mem.Put(c) }
-func (o opaqueStore) Get(id hash.Hash) (*chunk.Chunk, error) { return o.mem.Get(id) }
-func (o opaqueStore) Has(id hash.Hash) (bool, error)         { return o.mem.Has(id) }
-func (o opaqueStore) Stats() store.Stats                     { return o.mem.Stats() }
+type opaqueStore struct{ store.Store }
 
 func TestGCNotCollectable(t *testing.T) {
 	db := Open(Options{Store: opaqueStore{store.NewMemStore()}, Chunking: chunker.SmallConfig()})
@@ -237,7 +230,7 @@ func TestGCPurgesNodeCacheFileBacked(t *testing.T) {
 	if _, err := tree.Get([]byte("row-00000")); err != nil {
 		t.Fatal(err)
 	}
-	if db.NodeCache().Len() == 0 {
+	if store.NodeCacheOf(db.Store()).Len() == 0 {
 		t.Fatal("cache not populated")
 	}
 	if err := db.DeleteBranch("data", "master"); err != nil {
@@ -246,7 +239,7 @@ func TestGCPurgesNodeCacheFileBacked(t *testing.T) {
 	if _, err := db.GC(); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.NodeCache().Len(); n != 0 {
+	if n := store.NodeCacheOf(db.Store()).Len(); n != 0 {
 		t.Fatalf("GC left %d swept nodes in the cache", n)
 	}
 	if _, err := tree.Get([]byte("row-00000")); err == nil {

@@ -186,7 +186,7 @@ func TestNodeCacheCannotMaskTampering(t *testing.T) {
 	}
 	// Evict anything decoded during the build/put phase so the attacked
 	// chunk must be re-read through the verifying layer.
-	db.NodeCache().Purge()
+	store.NodeCacheOf(db.Store()).Purge()
 	for _, id := range ids {
 		if ok, err := mal.CorruptFlip(id, 7, 2); err != nil || !ok {
 			t.Fatalf("corrupt %s: %v", id.Short(), err)

@@ -115,6 +115,16 @@ func (s claimedStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	return chunk.NewClaimed(c.Type(), c.Data(), id), nil
 }
 
+func (s claimedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	out, err := s.Store.GetBatch(ids)
+	for i, c := range out {
+		if c != nil {
+			out[i] = chunk.NewClaimed(c.Type(), c.Data(), ids[i])
+		}
+	}
+	return out, err
+}
+
 // RunVerify executes the amortized-verification experiment.
 func RunVerify(quick bool) (*VerifyReport, error) {
 	chunks, gets := 4000, 120_000
@@ -269,15 +279,21 @@ func RunVerify(quick bool) (*VerifyReport, error) {
 
 	// ---- Parallel cold-batch recheck: every chunk comes back claimed, as
 	// from a remote store, so the pool rehashes the whole batch.  Flat on
-	// one core; reported so multi-core CI shows the fan-out.
+	// one core; reported so multi-core CI shows the fan-out.  A batch that
+	// rechecks fewer than every chunk measures nothing, so it fails the run.
 	coldBatch := func(workers int) (float64, error) {
 		v := store.NewVerifyingStore(claimedStore{fs})
 		v.SetVerifyWorkers(workers)
+		misses := v.VerifyStats().Misses
 		t0 := time.Now()
 		if _, err := v.GetBatch(ids); err != nil {
 			return 0, err
 		}
-		return float64(time.Since(t0).Nanoseconds()) / float64(chunks), nil
+		ns := float64(time.Since(t0).Nanoseconds()) / float64(chunks)
+		if n := v.VerifyStats().Misses - misses; n != int64(chunks) {
+			return 0, fmt.Errorf("verify: cold batch rechecked %d of %d chunks", n, chunks)
+		}
+		return ns, nil
 	}
 	if rep.ColdBatchW1NsPerChunk, err = coldBatch(1); err != nil {
 		return nil, err

@@ -226,6 +226,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxJSONBody bounds every JSON request body.  Bulk data has its own
+// streaming route (CSV upload under /v1/dataset/), so a JSON body beyond
+// this is a mistake or an attack, not a workload.
+const maxJSONBody = 16 << 20
+
+// decodeJSON decodes r's body into v, reading at most maxJSONBody bytes.  On
+// failure it answers the request (413 for an oversize body, 400 otherwise)
+// and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
+	}
+	return false
+}
+
 // retryAfterSeconds is the backpressure hint shipped with every 503: long
 // enough to shed a retry storm, short enough that a healed store is
 // rediscovered quickly.
@@ -407,8 +430,7 @@ func (h *Handler) putObject(w http.ResponseWriter, r *http.Request, key string) 
 		return
 	}
 	var body putBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
+	if !decodeJSON(w, r, &body) {
 		return
 	}
 	// Build + commit under the GC write fence: a concurrent POST /v1/gc
@@ -502,8 +524,7 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Ops []batchOpBody `json:"ops"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
+	if !decodeJSON(w, r, &body) {
 		return
 	}
 	if len(body.Ops) == 0 {
@@ -692,7 +713,10 @@ func (h *Handler) branch(w http.ResponseWriter, r *http.Request, key string) {
 		return
 	}
 	var body branchBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.New == "" {
+	if !decodeJSON(w, r, &body) {
+		return
+	}
+	if body.New == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "need {new, from?}"})
 		return
 	}
@@ -719,7 +743,10 @@ func (h *Handler) merge(w http.ResponseWriter, r *http.Request, key string) {
 		return
 	}
 	var body mergeBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Into == "" || body.From == "" {
+	if !decodeJSON(w, r, &body) {
+		return
+	}
+	if body.Into == "" || body.From == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "need {into, from}"})
 		return
 	}

@@ -10,10 +10,8 @@ import (
 	"testing"
 
 	"forkbase/internal/chaos"
-	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/core"
-	"forkbase/internal/hash"
 	"forkbase/internal/store"
 )
 
@@ -52,6 +50,21 @@ func doJSON(t *testing.T, method, url string, body any) (int, map[string]any) {
 		t.Fatalf("decoding response: %v", err)
 	}
 	return resp.StatusCode, out
+}
+
+// TestJSONBodyBounded: a JSON body beyond maxJSONBody is refused with 413
+// before it is decoded, and a normal body on the same route still lands.
+func TestJSONBodyBounded(t *testing.T) {
+	srv, _, _ := newServer(t)
+	code, body := doJSON(t, http.MethodPut, srv.URL+"/v1/obj/k",
+		putBody{Kind: "blob", Value: strings.Repeat("x", maxJSONBody)})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize put code %d: %v", code, body)
+	}
+	code, body = doJSON(t, http.MethodPut, srv.URL+"/v1/obj/k", putBody{Kind: "string", Value: "small"})
+	if code/100 != 2 {
+		t.Fatalf("normal put code %d: %v", code, body)
+	}
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -371,12 +384,7 @@ func TestGCEndpoint(t *testing.T) {
 
 // TestGCEndpointNotCollectable answers 501 when the store has no collection
 // capability.
-type opaqueStore struct{ inner store.Store }
-
-func (o opaqueStore) Put(c *chunk.Chunk) (bool, error)       { return o.inner.Put(c) }
-func (o opaqueStore) Get(id hash.Hash) (*chunk.Chunk, error) { return o.inner.Get(id) }
-func (o opaqueStore) Has(id hash.Hash) (bool, error)         { return o.inner.Has(id) }
-func (o opaqueStore) Stats() store.Stats                     { return o.inner.Stats() }
+type opaqueStore struct{ store.Store }
 
 func TestGCEndpointNotCollectable(t *testing.T) {
 	db := core.Open(core.Options{Store: opaqueStore{store.NewMemStore()}, Chunking: chunker.SmallConfig()})

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"testing"
 
 	"forkbase/internal/chunk"
@@ -8,17 +9,11 @@ import (
 	"forkbase/internal/nodecache"
 )
 
-// plainStore hides every optional capability, exercising the fallbacks.
-type plainStore struct{ inner *MemStore }
-
-func (p plainStore) Put(c *chunk.Chunk) (bool, error)       { return p.inner.Put(c) }
-func (p plainStore) Get(id hash.Hash) (*chunk.Chunk, error) { return p.inner.Get(id) }
-func (p plainStore) Has(id hash.Hash) (bool, error)         { return p.inner.Has(id) }
-func (p plainStore) Stats() Stats                           { return p.inner.Stats() }
-
 func TestBatchReadAcrossImplementations(t *testing.T) {
 	mk := func(s Store) (ids []hash.Hash, missing hash.Hash) {
-		for _, payload := range []string{"alpha", "beta", "gamma"} {
+		// Payloads outrun flipPayloadByte's offset, so the file case's rot
+		// lands inside the first record.
+		for _, payload := range []string{"alpha payload", "beta payload", "gamma payload"} {
 			c := chunk.New(chunk.TypeBlobLeaf, []byte(payload))
 			if _, err := s.Put(c); err != nil {
 				t.Fatal(err)
@@ -31,24 +26,31 @@ func TestBatchReadAcrossImplementations(t *testing.T) {
 
 	cases := []struct {
 		name string
-		wrap func(*MemStore) Store
+		open func(t *testing.T) Store
 	}{
-		{"mem", func(m *MemStore) Store { return m }},
-		{"fallback", func(m *MemStore) Store { return plainStore{m} }},
-		{"verifying", func(m *MemStore) Store { return NewVerifyingStore(m) }},
-		{"counting", func(m *MemStore) Store { return NewCountingStore(m) }},
-		{"malicious-honest", func(m *MemStore) Store { return NewMaliciousStore(m) }},
-		{"nodecached", func(m *MemStore) Store {
-			return WithNodeCache(NewVerifyingStore(m), nodecache.New(1<<20))
+		{"mem", func(*testing.T) Store { return NewMemStore() }},
+		{"file", func(t *testing.T) Store {
+			fs, err := OpenFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fs.Close() })
+			return fs
+		}},
+		{"verifying", func(*testing.T) Store { return NewVerifyingStore(NewMemStore()) }},
+		{"counting", func(*testing.T) Store { return NewCountingStore(NewMemStore()) }},
+		{"malicious-honest", func(*testing.T) Store { return NewMaliciousStore(NewMemStore()) }},
+		{"nodecached", func(*testing.T) Store {
+			return WithNodeCache(NewVerifyingStore(NewMemStore()), nodecache.New(1<<20))
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.wrap(NewMemStore())
+			s := tc.open(t)
 			ids, missing := mk(s)
 			query := []hash.Hash{ids[2], missing, ids[0]}
 
-			got, err := GetBatch(s, query)
+			got, err := s.GetBatch(query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,14 +64,45 @@ func TestBatchReadAcrossImplementations(t *testing.T) {
 				t.Fatalf("slot 2 = %v, want %s", got[2], ids[0].Short())
 			}
 
-			has, err := HasBatch(s, query)
+			has, err := s.HasBatch(query)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !has[0] || has[1] || !has[2] {
 				t.Fatalf("HasBatch = %v, want [true false true]", has)
 			}
+			if fs, ok := s.(*FileStore); ok {
+				fileBatchReads(t, fs, query)
+			}
 		})
+	}
+}
+
+// fileBatchReads pins that FileStore's GetBatch reads each id exactly as Get
+// does: records stamped at write cost no digest, and a rotted unstamped
+// record is ErrCorrupt, not an absent slot.  query must name the store's
+// first record.
+func fileBatchReads(t *testing.T, fs *FileStore, query []hash.Hash) {
+	t.Helper()
+	before := hash.Digests()
+	if _, err := fs.GetBatch(query); err != nil {
+		t.Fatal(err)
+	}
+	if n := hash.Digests() - before; n != 0 {
+		t.Fatalf("warm GetBatch paid %d digests, want 0", n)
+	}
+	// Reopen so the entries carry no stamp, then rot the first record.
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFileStore(fs.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	flipPayloadByte(t, fs.segmentPath(0))
+	if _, err := fs.GetBatch(query); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GetBatch over a rotted record: err=%v, want ErrCorrupt", err)
 	}
 }
 
@@ -81,35 +114,12 @@ func TestVerifyingGetBatchCatchesForgery(t *testing.T) {
 		t.Fatal(err)
 	}
 	mal.Forge(c.ID(), chunk.TypeBlobLeaf, []byte("forged"))
-	if _, err := GetBatch(v, []hash.Hash{c.ID()}); err == nil {
+	if _, err := v.GetBatch([]hash.Hash{c.ID()}); err == nil {
 		t.Fatal("verifying GetBatch must reject a forged chunk")
 	}
 	// The raw malicious store serves the forgery without complaint.
-	out, err := GetBatch(Store(mal), []hash.Hash{c.ID()})
+	out, err := mal.GetBatch([]hash.Hash{c.ID()})
 	if err != nil || out[0] == nil {
 		t.Fatalf("malicious store should serve the forgery silently: %v", err)
-	}
-}
-
-func TestFileStoreBatchReadFallback(t *testing.T) {
-	fs, err := OpenFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	c1 := chunk.New(chunk.TypeBlobLeaf, []byte("one"))
-	c2 := chunk.New(chunk.TypeBlobLeaf, []byte("two"))
-	if _, err := PutBatch(fs, []*chunk.Chunk{c1, c2}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := GetBatch(fs, []hash.Hash{c2.ID(), hash.Of([]byte("nope")), c1.ID()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] == nil || got[1] != nil || got[2] == nil {
-		t.Fatalf("GetBatch over FileStore = [%v %v %v]", got[0], got[1], got[2])
-	}
-	if string(got[0].Data()) != "two" || string(got[2].Data()) != "one" {
-		t.Fatal("wrong payloads")
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -320,7 +321,7 @@ func (g *groupSyncer) sync(do func() error) error {
 }
 
 var (
-	_ BatchStore            = (*FileStore)(nil)
+	_ Store                 = (*FileStore)(nil)
 	_ GenerationalCollector = (*FileStore)(nil)
 )
 
@@ -705,7 +706,7 @@ func (f *FileStore) appendLocked(c *chunk.Chunk) (bool, error) {
 	return true, nil
 }
 
-// PutBatch implements BatchStore with group commit: one write-lock
+// PutBatch implements Store with group commit: one write-lock
 // acquisition, one dedup index pass and one buffered-write sequence for the
 // whole batch, closed by a single Flush so every record of the batch is on
 // disk (modulo OS caching) when PutBatch returns.  Records are laid out
@@ -979,6 +980,33 @@ func (f *FileStore) dropReader(seg int) {
 func (f *FileStore) Has(id hash.Hash) (bool, error) {
 	_, ok := f.lookup(id)
 	return ok, nil
+}
+
+// GetBatch implements Store.  Each id is read exactly as Get reads it —
+// same stamps, same ErrCorrupt on rot, same counters — and an absent id
+// yields a nil slot.
+func (f *FileStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	out := make([]*chunk.Chunk, len(ids))
+	for i, id := range ids {
+		c, err := f.Get(id)
+		if errors.Is(err, ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return out, err
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
+// HasBatch implements Store with one index lookup per id.
+func (f *FileStore) HasBatch(ids []hash.Hash) ([]bool, error) {
+	out := make([]bool, len(ids))
+	for i, id := range ids {
+		_, out[i] = f.lookup(id)
+	}
+	return out, nil
 }
 
 // IDs returns the ids of all indexed chunks (order unspecified); used by

@@ -7,7 +7,6 @@ import (
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
-	"forkbase/internal/nodecache"
 	"forkbase/internal/obs"
 )
 
@@ -47,9 +46,8 @@ const latSampleMask = 31
 // and times a sample of them.  All metric handles are resolved at
 // construction, so the common per-op cost is a handful of atomic adds.
 //
-// The wrapper is transparent to every capability discovery in the tree:
-// batch paths are instrumented natively, NodeCache forwards, and Unwrap
-// exposes the inner store to sink tuning and to As (GC/scrub/heal discovery).
+// Batch operations are instrumented natively; every other capability
+// (node cache, sink tuning, kind, GC/scrub/heal) is found through Unwrap.
 type instrumentedStore struct {
 	Store
 	kind string
@@ -169,12 +167,12 @@ func (s *instrumentedStore) Has(id hash.Hash) (bool, error) {
 	return ok, err
 }
 
-// PutBatch implements BatchStore (instrumented as one operation — the
+// PutBatch implements Store (instrumented as one operation — the
 // clock amortizes over the batch, so batches are always timed; bytes count
 // every chunk offered).
 func (s *instrumentedStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	start := time.Now()
-	fresh, err := PutBatch(s.Store, cs)
+	fresh, err := s.Store.PutBatch(cs)
 	s.observe(&s.putB, start, err)
 	var n int64
 	for _, c := range cs {
@@ -186,10 +184,10 @@ func (s *instrumentedStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	return fresh, err
 }
 
-// GetBatch implements BatchReadStore.
+// GetBatch implements Store.
 func (s *instrumentedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	start := time.Now()
-	cs, err := GetBatch(s.Store, ids)
+	cs, err := s.Store.GetBatch(ids)
 	s.observe(&s.getB, start, err)
 	var n int64
 	for _, c := range cs {
@@ -201,28 +199,18 @@ func (s *instrumentedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	return cs, err
 }
 
-// HasBatch implements BatchReadStore.
+// HasBatch implements Store.
 func (s *instrumentedStore) HasBatch(ids []hash.Hash) ([]bool, error) {
 	start := time.Now()
-	oks, err := HasBatch(s.Store, ids)
+	oks, err := s.Store.HasBatch(ids)
 	s.observe(&s.hasB, start, err)
 	return oks, err
 }
-
-// NodeCache forwards the node-cache capability through the wrapper.
-func (s *instrumentedStore) NodeCache() *nodecache.Cache { return NodeCacheOf(s.Store) }
-
-// StoreKind implements Kinder (the wrapper reports the backend it fronts).
-func (s *instrumentedStore) StoreKind() string { return s.kind }
 
 // Unwrap exposes the inner store (capability discovery through As).
 func (s *instrumentedStore) Unwrap() Store { return s.Store }
 
 var (
-	_ BatchStore        = (*instrumentedStore)(nil)
-	_ BatchReadStore    = (*instrumentedStore)(nil)
-	_ NodeCacheProvider = (*instrumentedStore)(nil)
-	_ Kinder            = (*instrumentedStore)(nil)
-	_ Kinder            = (*MemStore)(nil)
-	_ Kinder            = (*FileStore)(nil)
+	_ Kinder = (*MemStore)(nil)
+	_ Kinder = (*FileStore)(nil)
 )

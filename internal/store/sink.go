@@ -231,7 +231,7 @@ func (s *ChunkSink) process(job sinkJob) {
 	s.batch = make([]*chunk.Chunk, 0, s.opt.BatchSize)
 	s.stats.Batches++
 	s.mu.Unlock()
-	if _, err := PutBatch(s.st, full); err != nil {
+	if _, err := s.st.PutBatch(full); err != nil {
 		s.fail(err)
 	}
 }
@@ -269,7 +269,7 @@ func (s *ChunkSink) Flush() error {
 	if len(rest) == 0 {
 		return nil
 	}
-	if _, err := PutBatch(s.st, rest); err != nil {
+	if _, err := s.st.PutBatch(rest); err != nil {
 		s.fail(err)
 		return err
 	}

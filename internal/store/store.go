@@ -2,15 +2,25 @@
 //
 // A Store materialises chunks into physical storage keyed by their content
 // hash: each distinct chunk is stored exactly once and may be shared by any
-// number of logical objects (paper §II-C).  The package ships four
-// implementations:
+// number of logical objects (paper §II-C).  The package ships two backends:
 //
 //   - MemStore: in-memory map, the default substrate for tests and benches.
 //   - FileStore: durable segmented append-only log with an in-memory index.
-//   - CountingStore: wrapper that tracks logical vs. physical bytes, the
-//     instrument behind the storage-efficiency experiments (Fig 4).
-//   - MaliciousStore: wrapper that can corrupt or forge chunks, the threat
-//     model for the tamper-evidence experiments (Fig 6).
+//
+// and the wrappers stacked on them:
+//
+//   - VerifyingStore: the tamper guard (below).
+//   - CountingStore: tracks logical vs. physical bytes, the instrument
+//     behind the storage-efficiency experiments (Fig 4).
+//   - MaliciousStore: can corrupt or forge chunks, the threat model for the
+//     tamper-evidence experiments (Fig 6).
+//   - WithNodeCache, WithSinkHashers and Instrument attach a decoded-node
+//     cache, a sink-hashing preference and metrics.
+//
+// The Store interface is the whole contract, batches included, so a wrapper
+// that changes nothing per operation embeds Store and forwards nothing.
+// Optional capabilities (Collector, Scrubber, Repairer, NodeCacheProvider,
+// SinkTuner, Kinder) are found by walking the wrappers' Unwrap chain with As.
 //
 // Verification has one witness per fact.  A chunk's id is either computed
 // from its bytes in this process (the chunk carries a chunk.Provenance
@@ -50,6 +60,12 @@ var ErrCorrupt = chunk.ErrCorrupt
 
 // Store is a content-addressed chunk store.
 //
+// Every store speaks batches: POS-Tree writes land through the chunk sink's
+// PutBatch, and Merkle-delta replication walks a frontier with one
+// HasBatch/GetBatch per tree level.  Backends answer a batch natively —
+// MemStore takes its lock once, FileStore group-commits a write batch with
+// one flush, RemoteStore ships one request — and wrappers pass it on.
+//
 // Implementations must be safe for concurrent use.
 type Store interface {
 	// Put stores c if absent.  It returns true when the chunk was new,
@@ -59,6 +75,17 @@ type Store interface {
 	Get(id hash.Hash) (*chunk.Chunk, error)
 	// Has reports whether a chunk with the given id is present.
 	Has(id hash.Hash) (bool, error)
+	// PutBatch stores every chunk of cs that is absent.  fresh[i] reports
+	// whether cs[i] was new (false = dedup hit).  Implementations either
+	// apply the whole batch or return an error having applied a prefix;
+	// they never skip chunks silently.
+	PutBatch(cs []*chunk.Chunk) (fresh []bool, err error)
+	// GetBatch retrieves the chunks with the given ids.  out[i] is nil when
+	// ids[i] is absent — absence is not an error, so one batched call
+	// replaces the Get-and-check loop of a sync walk.
+	GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error)
+	// HasBatch reports presence for every id.
+	HasBatch(ids []hash.Hash) ([]bool, error)
 	// Stats returns a snapshot of the store's accounting counters.
 	Stats() Stats
 }
@@ -106,74 +133,6 @@ func MustPut(s Store, c *chunk.Chunk) {
 	if _, err := s.Put(c); err != nil {
 		panic(fmt.Sprintf("store: put failed: %v", err))
 	}
-}
-
-// BatchStore is the optional capability of stores that can ingest a batch of
-// chunks in one locking round: MemStore takes its write lock once for the
-// whole batch, FileStore group-commits the batch with a single index pass,
-// one buffered write sequence and one flush.  Wrappers (verifying, counting,
-// malicious, node-cached) forward the capability so a batch put composes with
-// the same layering as a single put.
-type BatchStore interface {
-	Store
-	// PutBatch stores every chunk of cs that is absent.  fresh[i] reports
-	// whether cs[i] was new (false = dedup hit).  Implementations must
-	// either apply the whole batch or return an error having applied a
-	// prefix; they never skip chunks silently.
-	PutBatch(cs []*chunk.Chunk) (fresh []bool, err error)
-}
-
-// BatchReadStore is the optional capability of stores that can answer many
-// point reads in one round: MemStore holds its read lock once for the whole
-// batch, and RemoteStore ships the whole id list in a single request —
-// the capability Merkle-delta replication's frontier walk is built on (one
-// round trip per tree level instead of one per chunk).
-type BatchReadStore interface {
-	Store
-	// GetBatch retrieves the chunks with the given ids.  out[i] is nil when
-	// ids[i] is absent — absence is not an error, so one batched call
-	// replaces the Get-and-check loop of a sync walk.
-	GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error)
-	// HasBatch reports presence for every id.
-	HasBatch(ids []hash.Hash) ([]bool, error)
-}
-
-// GetBatch reads ids from s, using the native batch path when s implements
-// BatchReadStore and falling back to per-id Gets otherwise.  Missing chunks
-// yield nil slots, never an error.
-func GetBatch(s Store, ids []hash.Hash) ([]*chunk.Chunk, error) {
-	if bs, ok := s.(BatchReadStore); ok {
-		return bs.GetBatch(ids)
-	}
-	out := make([]*chunk.Chunk, len(ids))
-	for i, id := range ids {
-		c, err := s.Get(id)
-		if errors.Is(err, ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			return out, err
-		}
-		out[i] = c
-	}
-	return out, nil
-}
-
-// HasBatch reports presence of ids in s, using the native batch path when
-// available.
-func HasBatch(s Store, ids []hash.Hash) ([]bool, error) {
-	if bs, ok := s.(BatchReadStore); ok {
-		return bs.HasBatch(ids)
-	}
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		ok, err := s.Has(id)
-		if err != nil {
-			return out, err
-		}
-		out[i] = ok
-	}
-	return out, nil
 }
 
 // SweepStats reports what a Collector's Sweep removed and reclaimed.
@@ -293,23 +252,4 @@ func As[T any](st Store) (T, bool) {
 	}
 	var zero T
 	return zero, false
-}
-
-// PutBatch stores cs into s, using the native batch path when s implements
-// BatchStore and falling back to per-chunk Puts otherwise.  It is the one
-// entry point batch producers (the chunk sink, fnode.SaveAll, the network
-// server) should use, so a store lacking the capability still works.
-func PutBatch(s Store, cs []*chunk.Chunk) ([]bool, error) {
-	if bs, ok := s.(BatchStore); ok {
-		return bs.PutBatch(cs)
-	}
-	fresh := make([]bool, len(cs))
-	for i, c := range cs {
-		f, err := s.Put(c)
-		if err != nil {
-			return fresh, err
-		}
-		fresh[i] = f
-	}
-	return fresh, nil
 }

@@ -271,21 +271,6 @@ func TestMemStorePutBatch(t *testing.T) {
 	}
 }
 
-func TestPutBatchFallback(t *testing.T) {
-	// A store without the BatchStore capability still works through the
-	// generic helper.
-	type plain struct{ Store }
-	s := plain{NewMemStore()}
-	c := mkChunk(3)
-	fresh, err := PutBatch(s, []*chunk.Chunk{c, c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fresh[0] || fresh[1] {
-		t.Fatalf("fresh = %v", fresh)
-	}
-}
-
 func TestFileStorePutBatchGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenFileStore(dir)

@@ -1,11 +1,5 @@
 package store
 
-import (
-	"forkbase/internal/chunk"
-	"forkbase/internal/hash"
-	"forkbase/internal/nodecache"
-)
-
 // SinkTuner is the optional capability by which a store (or a wrapper in
 // front of it) advertises a preferred ChunkSink hashing configuration.
 // Builders open sinks deep inside the value and index layers, far from the
@@ -21,8 +15,8 @@ type SinkTuner interface {
 }
 
 // tunedStore attaches a sink-hashing preference to an inner store.  All
-// Store methods delegate; batch and node-cache capabilities are forwarded so
-// the wrapper is transparent to every other discovery path.
+// Store methods delegate, and Unwrap keeps the wrapper transparent to every
+// other discovery path.
 type tunedStore struct {
 	Store
 	hashers int
@@ -42,21 +36,7 @@ func WithSinkHashers(inner Store, n int) Store {
 // SinkHashers implements SinkTuner.
 func (s *tunedStore) SinkHashers() int { return s.hashers }
 
-// PutBatch forwards the batch capability through the tuning wrapper.
-func (s *tunedStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) { return PutBatch(s.Store, cs) }
-
-// GetBatch forwards the batch-read capability through the tuning wrapper.
-func (s *tunedStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	return GetBatch(s.Store, ids)
-}
-
-// HasBatch forwards the batch-read capability through the tuning wrapper.
-func (s *tunedStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(s.Store, ids) }
-
-// NodeCache forwards the node-cache capability through the tuning wrapper.
-func (s *tunedStore) NodeCache() *nodecache.Cache { return NodeCacheOf(s.Store) }
-
-// Unwrap exposes the inner store (GC capability discovery).
+// Unwrap exposes the inner store (capability discovery through As).
 func (s *tunedStore) Unwrap() Store { return s.Store }
 
 // SinkHashersOf returns the hashing preference attached to st, or 0 when no
@@ -78,9 +58,4 @@ func SinkHashersOf(st Store) int {
 	return 0
 }
 
-var (
-	_ SinkTuner         = (*tunedStore)(nil)
-	_ BatchStore        = (*tunedStore)(nil)
-	_ BatchReadStore    = (*tunedStore)(nil)
-	_ NodeCacheProvider = (*tunedStore)(nil)
-)
+var _ SinkTuner = (*tunedStore)(nil)

@@ -15,58 +15,34 @@ import (
 // phases, so experiments can report "loading dataset 2 increased storage by
 // only 0.04 KB" exactly like Fig 4 of the paper.
 //
+// Every Store method is the embedded inner store's, so batched ingest moves
+// the inner counters exactly as per-chunk Puts would.
+//
 // Concurrency: the wrapper itself holds no per-op state — delegated calls
 // touch only the inner store — and Mark/Increments guard the snapshot
 // slices with one mutex, so concurrent builder workers can write through a
 // CountingStore while an experiment thread marks phases.
 type CountingStore struct {
-	Inner Store
+	Store
 
 	mu     sync.Mutex
 	marks  []Stats
 	labels []string
 }
 
-var _ Store = (*CountingStore)(nil)
-
 // NewCountingStore wraps inner.
 func NewCountingStore(inner Store) *CountingStore {
-	return &CountingStore{Inner: inner}
+	return &CountingStore{Store: inner}
 }
-
-// Put implements Store.
-func (c *CountingStore) Put(ch *chunk.Chunk) (bool, error) { return c.Inner.Put(ch) }
-
-// PutBatch implements BatchStore by delegating, so batched ingest stays
-// visible to the phase accounting (the inner store's counters move exactly as
-// they would for per-chunk Puts).
-func (c *CountingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) { return PutBatch(c.Inner, cs) }
-
-// GetBatch implements BatchReadStore by delegating.
-func (c *CountingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	return GetBatch(c.Inner, ids)
-}
-
-// HasBatch implements BatchReadStore by delegating.
-func (c *CountingStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(c.Inner, ids) }
-
-// Get implements Store.
-func (c *CountingStore) Get(id hash.Hash) (*chunk.Chunk, error) { return c.Inner.Get(id) }
-
-// Has implements Store.
-func (c *CountingStore) Has(id hash.Hash) (bool, error) { return c.Inner.Has(id) }
-
-// Stats implements Store.
-func (c *CountingStore) Stats() Stats { return c.Inner.Stats() }
 
 // Unwrap exposes the inner store (capability discovery through As).
-func (c *CountingStore) Unwrap() Store { return c.Inner }
+func (c *CountingStore) Unwrap() Store { return c.Store }
 
 // Mark snapshots the current counters under a label.
 func (c *CountingStore) Mark(label string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.marks = append(c.marks, c.Inner.Stats())
+	c.marks = append(c.marks, c.Store.Stats())
 	c.labels = append(c.labels, label)
 }
 
@@ -126,10 +102,10 @@ func NewMaliciousStore(inner Store) *MaliciousStore {
 // Put implements Store.
 func (m *MaliciousStore) Put(ch *chunk.Chunk) (bool, error) { return m.Inner.Put(ch) }
 
-// PutBatch implements BatchStore by delegating.
-func (m *MaliciousStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) { return PutBatch(m.Inner, cs) }
+// PutBatch implements Store.
+func (m *MaliciousStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) { return m.Inner.PutBatch(cs) }
 
-// GetBatch implements BatchReadStore: attacked ids are substituted exactly as
+// GetBatch implements Store: attacked ids are substituted exactly as
 // in Get, so batched readers face the same threat model as point readers.
 func (m *MaliciousStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	out := make([]*chunk.Chunk, len(ids))
@@ -146,8 +122,8 @@ func (m *MaliciousStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
 	return out, nil
 }
 
-// HasBatch implements BatchReadStore by delegating.
-func (m *MaliciousStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(m.Inner, ids) }
+// HasBatch implements Store.
+func (m *MaliciousStore) HasBatch(ids []hash.Hash) ([]bool, error) { return m.Inner.HasBatch(ids) }
 
 // Has implements Store.
 func (m *MaliciousStore) Has(id hash.Hash) (bool, error) { return m.Inner.Has(id) }
@@ -293,7 +269,7 @@ func (v *VerifyingStore) Put(ch *chunk.Chunk) (bool, error) {
 	return v.Inner.Put(ch)
 }
 
-// PutBatch implements BatchStore.  Every claimed chunk in the batch is
+// PutBatch implements Store.  Every claimed chunk in the batch is
 // rehashed — fanned out across the recheck pool — before anything is
 // written: a single forged chunk rejects the whole batch, keeping batched
 // ingest exactly as tamper-evident as the per-chunk path.
@@ -309,15 +285,15 @@ func (v *VerifyingStore) PutBatch(cs []*chunk.Chunk) ([]bool, error) {
 	if err := recheckIndexes(cs, work, v.verifyWorkers()); err != nil {
 		return make([]bool, len(cs)), err
 	}
-	return PutBatch(v.Inner, cs)
+	return v.Inner.PutBatch(cs)
 }
 
 // Has implements Store.
 func (v *VerifyingStore) Has(id hash.Hash) (bool, error) { return v.Inner.Has(id) }
 
-// HasBatch implements BatchReadStore by delegating (presence needs no
-// verification; a forged chunk is caught when it is actually read).
-func (v *VerifyingStore) HasBatch(ids []hash.Hash) ([]bool, error) { return HasBatch(v.Inner, ids) }
+// HasBatch implements Store by delegating (presence needs no verification;
+// a forged chunk is caught when it is actually read).
+func (v *VerifyingStore) HasBatch(ids []hash.Hash) ([]bool, error) { return v.Inner.HasBatch(ids) }
 
 // Get implements Store, verifying content against id.
 func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
@@ -337,11 +313,11 @@ func (v *VerifyingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
 	return c, nil
 }
 
-// GetBatch implements BatchReadStore: every returned chunk passes the same
+// GetBatch implements Store: every returned chunk passes the same
 // checks as a point Get, with the rehashes of claimed chunks fanned out
 // across the recheck pool, so repl catch-up and heal scale with cores.
 func (v *VerifyingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
-	out, err := GetBatch(v.Inner, ids)
+	out, err := v.Inner.GetBatch(ids)
 	if err != nil {
 		return out, err
 	}
