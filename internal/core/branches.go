@@ -143,7 +143,9 @@ func (m *MemBranchTable) Keys() ([]string, error) {
 
 // FileBranchTable persists heads to a JSON file next to the chunk log, so a
 // file-backed ForkBase instance recovers its branches on reopen.  All
-// mutations are written through synchronously.
+// mutations are written through synchronously, and the file is written
+// before the in-memory table changes: a mutation whose write fails returns
+// the error and leaves the table as it was.
 type FileBranchTable struct {
 	mem  *MemBranchTable
 	path string
@@ -181,7 +183,10 @@ func OpenFileBranchTable(dir string) (*FileBranchTable, error) {
 	return f, nil
 }
 
-func (f *FileBranchTable) persist() error {
+// persist writes the table as it will be once edit has run on it.  edit
+// changes only the snapshot written; the caller applies the same change to
+// f.mem after persist succeeds.  The caller holds f.mu.
+func (f *FileBranchTable) persist(edit func(raw map[string]map[string]string)) error {
 	f.mem.mu.RLock()
 	raw := make(map[string]map[string]string, len(f.mem.heads))
 	for key, branches := range f.mem.heads {
@@ -192,6 +197,7 @@ func (f *FileBranchTable) persist() error {
 		raw[key] = m
 	}
 	f.mem.mu.RUnlock()
+	edit(raw)
 	data, err := json.MarshalIndent(raw, "", "  ")
 	if err != nil {
 		return err
@@ -208,35 +214,63 @@ func (f *FileBranchTable) Head(key, branch string) (hash.Hash, bool, error) {
 	return f.mem.Head(key, branch)
 }
 
-// CompareAndSet implements BranchTable.
+// CompareAndSet implements BranchTable.  f.mu serialises every mutation,
+// so the head checked here is still current when f.mem is updated.
 func (f *FileBranchTable) CompareAndSet(key, branch string, old, new hash.Hash) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ok, err := f.mem.CompareAndSet(key, branch, old, new)
-	if err != nil || !ok {
-		return ok, err
+	if cur, _, _ := f.mem.Head(key, branch); cur != old {
+		return false, nil
 	}
-	return true, f.persist()
+	err := f.persist(func(raw map[string]map[string]string) {
+		if raw[key] == nil {
+			raw[key] = make(map[string]string)
+		}
+		raw[key][branch] = new.String()
+	})
+	if err != nil {
+		return false, err
+	}
+	return f.mem.CompareAndSet(key, branch, old, new)
 }
 
 // Delete implements BranchTable.
 func (f *FileBranchTable) Delete(key, branch string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.mem.Delete(key, branch); err != nil {
+	if _, ok, _ := f.mem.Head(key, branch); !ok {
+		return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, branch)
+	}
+	err := f.persist(func(raw map[string]map[string]string) {
+		delete(raw[key], branch)
+		if len(raw[key]) == 0 {
+			delete(raw, key)
+		}
+	})
+	if err != nil {
 		return err
 	}
-	return f.persist()
+	return f.mem.Delete(key, branch)
 }
 
 // Rename implements BranchTable.
 func (f *FileBranchTable) Rename(key, from, to string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.mem.Rename(key, from, to); err != nil {
+	if _, ok, _ := f.mem.Head(key, from); !ok {
+		return fmt.Errorf("%w: %s@%s", ErrBranchNotFound, key, from)
+	}
+	if _, exists, _ := f.mem.Head(key, to); exists {
+		return fmt.Errorf("%w: %s@%s", ErrBranchExists, key, to)
+	}
+	err := f.persist(func(raw map[string]map[string]string) {
+		raw[key][to] = raw[key][from]
+		delete(raw[key], from)
+	})
+	if err != nil {
 		return err
 	}
-	return f.persist()
+	return f.mem.Rename(key, from, to)
 }
 
 // Branches implements BranchTable.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,10 +38,10 @@ const DefaultBranch = "master"
 // All chunk reads go through a verifying wrapper, so any tampering by the
 // storage provider surfaces as chunk.ErrCorrupt.
 type DB struct {
-	raw     store.Store // instrumented backend, for Stats and GC discovery
-	st      store.Store // verifying read path (node cache layered on top)
-	met     *dbObs      // observability wiring (metrics, slow-op logs)
-	ncache  *nodecache.Cache
+	raw     store.Store      // instrumented backend, for Stats and GC discovery
+	st      store.Store      // verifying read path (node cache layered on top)
+	met     *dbObs           // observability wiring (metrics, slow-op logs)
+	ncache  *nodecache.Cache // the read path's decoded-node cache; nil when there is none
 	cfg     chunker.Config
 	idxKind index.Kind // structure new composite values are indexed with
 	heads   BranchTable
@@ -179,6 +181,9 @@ func Open(opts Options) *DB {
 	if opts.SinkHashers != 0 {
 		db.st = store.WithSinkHashers(db.st, opts.SinkHashers)
 	}
+	// The read path's cache: the one created above, or one the caller
+	// attached to the injected store.
+	db.ncache = store.NodeCacheOf(db.st)
 	db.registerGauges()
 	db.compactRatio = opts.CompactRatio
 	if db.compactRatio <= 0 {
@@ -361,7 +366,7 @@ func (db *DB) put(key, branch string, v value.Value, meta map[string]string) (Ve
 	var bases []hash.Hash
 	var seq uint64
 	if ok {
-		parent, err := fnode.Load(db.st, head)
+		parent, err := fnode.LoadCached(db.st, db.ncache, head)
 		if err != nil {
 			return Version{}, fmt.Errorf("core: loading head of %s@%s: %w", key, branch, err)
 		}
@@ -376,7 +381,7 @@ func (db *DB) put(key, branch string, v value.Value, meta map[string]string) (Ve
 	}
 	f := fnode.New([]byte(key), v, bases, seq, meta)
 	f.Index = kind
-	uid, err := f.Save(db.st)
+	uid, err := f.SaveCached(db.st, db.ncache)
 	if err != nil {
 		return Version{}, err
 	}
@@ -531,7 +536,7 @@ func (db *DB) writeBatch(ops []WriteOp) ([]Version, error) {
 			var bases []hash.Hash
 			s.seq = 1
 			if ok {
-				parent, err := fnode.Load(db.st, head)
+				parent, err := fnode.LoadCached(db.st, db.ncache, head)
 				if err != nil {
 					s.err = fmt.Errorf("core: loading head of %s@%s: %w", op.Key, s.branch, err)
 					continue
@@ -600,9 +605,11 @@ func (db *DB) GetCtx(ctx context.Context, key, branch string) (_ Version, err er
 }
 
 // GetVersion returns a specific version of key by uid.  The FNode chunk is
-// verified against the uid, so a forged version cannot be returned.
+// verified against the uid when it is read, so a forged version cannot be
+// returned; a version read before is served from the decoded-node cache
+// without a store read.
 func (db *DB) GetVersion(key string, uid hash.Hash) (Version, error) {
-	f, err := fnode.Load(db.st, uid)
+	f, err := fnode.LoadCached(db.st, db.ncache, uid)
 	if err != nil {
 		return Version{}, err
 	}
@@ -617,7 +624,8 @@ func (db *DB) GetVersion(key string, uid hash.Hash) (Version, error) {
 	// loads of empty values (no root chunk to sniff) then keep the
 	// branch's structure instead of falling back to the engine default.
 	v = v.WithIndexKind(f.Index)
-	return Version{UID: uid, Seq: f.Seq, Bases: f.Bases, Value: v, Meta: f.Meta, Key: key, Index: f.Index}, nil
+	// The cached FNode is shared: the Version gets its own Bases and Meta.
+	return Version{UID: uid, Seq: f.Seq, Bases: slices.Clone(f.Bases), Value: v, Meta: maps.Clone(f.Meta), Key: key, Index: f.Index}, nil
 }
 
 // Head returns the head uid of key@branch.
@@ -914,7 +922,7 @@ func (db *DB) MergeCtx(ctx context.Context, key, dst, src string, resolve index.
 	}
 	f := fnode.New([]byte(key), mergedVal, []hash.Hash{dstHead, srcHead}, seq+1, meta)
 	f.Index = kind
-	uid, err := f.Save(db.st)
+	uid, err := f.SaveCached(db.st, db.ncache)
 	if err != nil {
 		return MergeResult{}, err
 	}

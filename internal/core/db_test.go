@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"forkbase/internal/chunker"
@@ -658,5 +660,67 @@ func TestHistoryDecodesOnce(t *testing.T) {
 		if s, _ := v.Value.AsString(); s != want {
 			t.Fatalf("hist[%d] = %q, want %q", i, s, want)
 		}
+	}
+}
+
+// TestFileBranchTableFailedWriteLeavesTableUnchanged: when the branch file
+// cannot be written, CompareAndSet, Delete and Rename return the error and
+// leave the table as it was, in memory and on reopen.
+func TestFileBranchTableFailedWriteLeavesTableUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	bt, err := OpenFileBranchTable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := hash.Of([]byte("a")), hash.Of([]byte("b"))
+	if ok, err := bt.CompareAndSet("k", "master", hash.Hash{}, a); !ok || err != nil {
+		t.Fatalf("first CAS: %v %v", ok, err)
+	}
+	// A directory where the temp file goes makes every write fail.
+	if err := os.Mkdir(filepath.Join(dir, "branches.json.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := bt.CompareAndSet("k", "master", a, b); ok || err == nil {
+		t.Fatalf("CAS with a failing write = %v, %v; want false and an error", ok, err)
+	}
+	if ok, err := bt.CompareAndSet("k", "dev", hash.Hash{}, b); ok || err == nil {
+		t.Fatalf("creating CAS with a failing write = %v, %v; want false and an error", ok, err)
+	}
+	if err := bt.Delete("k", "master"); err == nil {
+		t.Fatal("Delete with a failing write succeeded")
+	}
+	if err := bt.Rename("k", "master", "main"); err == nil {
+		t.Fatal("Rename with a failing write succeeded")
+	}
+	check := func(what string, bt *FileBranchTable) {
+		t.Helper()
+		got, err := bt.Branches("k")
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(got) != 1 || got["master"] != a {
+			t.Fatalf("%s: branches = %v, want only master at %s", what, got, a.Short())
+		}
+	}
+	check("after failed writes", bt)
+	reopened, err := OpenFileBranchTable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", reopened)
+
+	// Once writes work again, the next mutation persists only itself.
+	if err := os.Remove(filepath.Join(dir, "branches.json.tmp")); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := bt.CompareAndSet("k", "master", a, b); !ok || err != nil {
+		t.Fatalf("CAS after recovery: %v %v", ok, err)
+	}
+	reopened, err = OpenFileBranchTable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reopened.Branches("k"); err != nil || len(got) != 1 || got["master"] != b {
+		t.Fatalf("reopened after recovery: %v %v", got, err)
 	}
 }

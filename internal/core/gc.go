@@ -104,17 +104,14 @@ func (db *DB) gcInner(minDeadRatio float64) (GCStats, error) {
 	if err != nil {
 		return GCStats{}, err
 	}
-	// Purge swept ids from whichever decoded-node cache the read path uses:
-	// db.ncache when core created it, or one the caller attached to the
-	// injected store.  Either way it is discoverable on db.st (nil-safe).
+	// Purge swept ids from the read path's decoded-node cache (nil-safe).
 	// Relocated chunks are purged too: their content is unchanged, but a
 	// cached decode may alias storage the compaction retired.
-	ncache := store.NodeCacheOf(db.st)
 	for _, id := range res.SweptIDs {
-		ncache.Remove(id)
+		db.ncache.Remove(id)
 	}
 	for _, id := range res.MovedIDs {
-		ncache.Remove(id)
+		db.ncache.Remove(id)
 	}
 	return GCStats{
 		Live:              len(live),

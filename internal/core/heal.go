@@ -97,7 +97,6 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 		}
 	}
 
-	ncache := store.NodeCacheOf(db.st)
 	for len(frontier) > 0 {
 		var next, damaged []hash.Hash
 		for _, id := range frontier {
@@ -167,7 +166,7 @@ func (db *DB) healInner(src ChunkSource) (HealStats, error) {
 					}
 				}
 				// A cached decode may alias storage of the damaged copy.
-				ncache.Remove(want)
+				db.ncache.Remove(want)
 				hs.Repaired++
 				hs.BytesFetched += int64(c.Size())
 				kids, err := chunkChildren(c)

@@ -172,7 +172,9 @@ func TestUIDCoversValueAndHistory(t *testing.T) {
 // malicious store and confirms the layering invariant: the cache sits above
 // chunk verification, so a forged chunk is rejected before it can ever be
 // cached, and repeated reads keep failing rather than "warming up" on
-// corrupt data.
+// corrupt data.  The cache also holds FNodes, so the FNode case checks the
+// other half of the layering: a cached version object does not hide rot
+// from deep verification, which re-reads the store.
 func TestNodeCacheCannotMaskTampering(t *testing.T) {
 	mal := store.NewMaliciousStore(store.NewMemStore())
 	db := Open(Options{Store: mal, Chunking: chunker.SmallConfig(), NodeCacheBytes: 16 << 20})
@@ -198,4 +200,35 @@ func TestNodeCacheCannotMaskTampering(t *testing.T) {
 	if st := db.NodeCacheStats(); st.Entries != 0 {
 		t.Fatalf("forged chunks entered the cache: %+v", st)
 	}
+
+	t.Run("fnode", func(t *testing.T) {
+		mal := store.NewMaliciousStore(store.NewMemStore())
+		db := Open(Options{Store: mal, Chunking: chunker.SmallConfig(), NodeCacheBytes: 16 << 20})
+		v1, err := db.Put("data", "", value.String("first"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := db.Put("data", "", value.String("second"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cache v1's FNode, then rot it in the store.
+		if _, err := db.GetVersion("data", v1.UID); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := mal.CorruptFlip(v1.UID, 3, 1); err != nil || !ok {
+			t.Fatalf("corrupt %s: %v", v1.UID.Short(), err)
+		}
+		rep, err := db.VerifyVersion("data", v2.UID, true)
+		if !errors.Is(err, ErrTampered) {
+			t.Fatalf("deep verify after a cached read = %v, want ErrTampered", err)
+		}
+		found := false
+		for _, f := range rep.Failures {
+			found = found || f.ChunkID == v1.UID
+		}
+		if !found {
+			t.Fatalf("deep verify did not report the rotted FNode %s: %+v", v1.UID.Short(), rep.Failures)
+		}
+	})
 }

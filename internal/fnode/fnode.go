@@ -14,11 +14,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
 	"forkbase/internal/index"
+	"forkbase/internal/nodecache"
 	"forkbase/internal/store"
 	"forkbase/internal/value"
 )
@@ -49,14 +51,15 @@ type FNode struct {
 // ErrNotFNode is returned when a uid resolves to a non-FNode chunk.
 var ErrNotFNode = errors.New("fnode: chunk is not an FNode")
 
-// New assembles an FNode for a fresh value deriving from bases.
+// New assembles an FNode for a fresh value deriving from bases.  It copies
+// its arguments, so the FNode shares no memory with the caller.
 func New(key []byte, val value.Value, bases []hash.Hash, seq uint64, meta map[string]string) *FNode {
 	return &FNode{
 		Key:   append([]byte(nil), key...),
 		Seq:   seq,
 		Bases: append([]hash.Hash(nil), bases...),
 		Value: val.Encode(),
-		Meta:  meta,
+		Meta:  maps.Clone(meta),
 	}
 }
 
@@ -107,7 +110,10 @@ func (f *FNode) Encode() []byte {
 	return out
 }
 
-// Decode parses the canonical byte form.
+// Decode parses the canonical byte form.  It accepts only that form —
+// minimal varints, metadata keys strictly ascending — so every accepted
+// payload re-encodes byte-identically, and every count is checked against
+// the bytes left before anything is allocated for it.
 func Decode(data []byte) (*FNode, error) {
 	f := &FNode{}
 	p := data
@@ -136,17 +142,25 @@ func Decode(data []byte) (*FNode, error) {
 	if n, p, err = readUvarint(p); err != nil {
 		return nil, fmt.Errorf("fnode: meta count: %w", err)
 	}
+	if n > uint64(len(p))/2 {
+		return nil, errors.New("fnode: meta count exceeds payload")
+	}
 	if n > 0 {
 		f.Meta = make(map[string]string, n)
+		var prev []byte
 		for i := uint64(0); i < n; i++ {
 			var k, v []byte
 			if k, p, err = readBytes(p); err != nil {
 				return nil, fmt.Errorf("fnode: meta key: %w", err)
 			}
+			if i > 0 && string(k) <= string(prev) {
+				return nil, errors.New("fnode: meta keys not strictly ascending")
+			}
 			if v, p, err = readBytes(p); err != nil {
 				return nil, fmt.Errorf("fnode: meta value: %w", err)
 			}
 			f.Meta[string(k)] = string(v)
+			prev = k
 		}
 	}
 	if len(p) > 0 {
@@ -170,6 +184,9 @@ func readUvarint(p []byte) (uint64, []byte, error) {
 	if n <= 0 {
 		return 0, nil, errors.New("truncated uvarint")
 	}
+	if n > 1 && p[n-1] == 0 {
+		return 0, nil, errors.New("overlong uvarint")
+	}
 	return v, p[n:], nil
 }
 
@@ -188,6 +205,21 @@ func readBytes(p []byte) ([]byte, []byte, error) {
 func (f *FNode) Save(st store.Store) (hash.Hash, error) {
 	c := chunk.New(chunk.TypeFNode, f.Encode())
 	if _, err := st.Put(c); err != nil {
+		return hash.Hash{}, fmt.Errorf("fnode: save: %w", err)
+	}
+	return c.ID(), nil
+}
+
+// SaveCached is Save that also caches f under its uid (nodecache.Add), so
+// the version's first read makes no store call.  Once cached, f is shared
+// with every reader of the uid and must not be modified.
+func (f *FNode) SaveCached(st store.Store, cache *nodecache.Cache) (hash.Hash, error) {
+	c := chunk.New(chunk.TypeFNode, f.Encode())
+	err := nodecache.Add(cache, c.ID(), f, f.memSize(), func() error {
+		_, err := st.Put(c)
+		return err
+	})
+	if err != nil {
 		return hash.Hash{}, fmt.Errorf("fnode: save: %w", err)
 	}
 	return c.ID(), nil
@@ -228,6 +260,32 @@ func Load(st store.Store, uid hash.Hash) (*FNode, error) {
 		return nil, err
 	}
 	return Decode(c.Data())
+}
+
+// LoadCached is Load through the decoded-node cache: a cached FNode costs
+// no store read, and a miss reads the store once and caches the decode
+// (nodecache.Load).  The returned FNode is shared with every other reader
+// of uid and must not be modified.  Verification must use Load instead: it
+// re-reads the store and never trusts a cached decode.
+func LoadCached(st store.Store, cache *nodecache.Cache, uid hash.Hash) (*FNode, error) {
+	return nodecache.Load(cache, uid, func() (*FNode, int, error) {
+		f, err := Load(st, uid)
+		if err != nil {
+			return nil, 0, err
+		}
+		return f, f.memSize(), nil
+	})
+}
+
+// memSize approximates the decoded footprint, for cache accounting: the
+// struct, its byte fields and bases, and each metadata pair with its map
+// slot.
+func (f *FNode) memSize() int {
+	n := 128 + len(f.Key) + len(f.Value) + len(f.Bases)*hash.Size
+	for k, v := range f.Meta {
+		n += 48 + len(k) + len(v)
+	}
+	return n
 }
 
 // History walks the first-parent chain from uid, returning up to limit uids

@@ -7,6 +7,7 @@ import (
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunker"
 	"forkbase/internal/hash"
+	"forkbase/internal/nodecache"
 	"forkbase/internal/store"
 )
 
@@ -26,6 +27,23 @@ type Factory interface {
 	Build(st store.Store, cfg chunker.Config, entries []Entry) (VersionedIndex, error)
 }
 
+// Node is a decoded index node as the decoded-node cache holds it.  It
+// reports the type of the chunk it was decoded from, so KindOfRoot can sniff
+// a cached root without reading the store.
+type Node interface {
+	ChunkType() chunk.Type
+}
+
+// NodeDecoder decodes a node chunk into the form its structure keeps in the
+// decoded-node cache, returning the byte size to charge the cache.
+type NodeDecoder func(c *chunk.Chunk) (Node, int, error)
+
+// rootType is what RegisterRoot records for one root chunk type.
+type rootType struct {
+	kind   Kind
+	decode NodeDecoder
+}
+
 // ChildrenFunc returns the child chunk hashes an index node references
 // (nil for leaves).
 type ChildrenFunc func(c *chunk.Chunk) ([]hash.Hash, error)
@@ -34,7 +52,7 @@ var registry struct {
 	mu       sync.RWMutex
 	kinds    map[Kind]Factory
 	children map[chunk.Type]ChildrenFunc
-	roots    map[chunk.Type]Kind
+	roots    map[chunk.Type]rootType
 }
 
 // Register installs a structure's factory; called from the implementing
@@ -68,17 +86,28 @@ func RegisterChildren(t chunk.Type, fn ChildrenFunc) {
 }
 
 // RegisterRoot declares that a chunk of type t can be the root of a Kind k
-// index, letting Load sniff the structure from stored data.
-func RegisterRoot(t chunk.Type, k Kind) {
+// index, letting Load sniff the structure from stored data.  decode is the
+// structure's own node decoder: a sniff that misses the cache decodes the
+// root it had to read and caches it, so the factory's load that follows
+// finds it there instead of reading the store a second time.
+func RegisterRoot(t chunk.Type, k Kind, decode NodeDecoder) {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	if registry.roots == nil {
-		registry.roots = map[chunk.Type]Kind{}
+		registry.roots = map[chunk.Type]rootType{}
 	}
-	if prev, dup := registry.roots[t]; dup && prev != k {
-		panic(fmt.Sprintf("index: root chunk type %s claimed by kinds %s and %s", t, prev, k))
+	if prev, dup := registry.roots[t]; dup && prev.kind != k {
+		panic(fmt.Sprintf("index: root chunk type %s claimed by kinds %s and %s", t, prev.kind, k))
 	}
-	registry.roots[t] = k
+	registry.roots[t] = rootType{kind: k, decode: decode}
+}
+
+// rootOf returns what RegisterRoot recorded for chunk type t.
+func rootOf(t chunk.Type) (rootType, bool) {
+	registry.mu.RLock()
+	r, ok := registry.roots[t]
+	registry.mu.RUnlock()
+	return r, ok
 }
 
 // For returns the factory for kind k, or an error when no package
@@ -115,22 +144,59 @@ func Children(c *chunk.Chunk) ([]hash.Hash, error) {
 	return fn(c)
 }
 
-// KindOfRoot identifies the index structure rooted at root by reading the
-// root chunk's type tag — stored data is self-describing, so readers need
-// no out-of-band metadata.  The read goes through st (and any decoded-node
-// cache layered on it is free to serve the subsequent factory Load).
+// KindOfRoot identifies the index structure rooted at root by the root
+// chunk's type tag — stored data is self-describing, so readers need no
+// out-of-band metadata.  A root in st's decoded-node cache reports its type
+// without a store read.  On a miss the root is read once, and with a cache
+// present it is decoded and cached for the factory Load that follows.
 func KindOfRoot(st store.Store, root hash.Hash) (Kind, error) {
-	c, err := st.Get(root)
+	typ, err := sniffType(st, root)
 	if err != nil {
-		return 0, fmt.Errorf("index: sniffing root %s: %w", root.Short(), err)
+		return 0, err
 	}
-	registry.mu.RLock()
-	k, ok := registry.roots[c.Type()]
-	registry.mu.RUnlock()
+	r, ok := rootOf(typ)
 	if !ok {
-		return 0, fmt.Errorf("index: chunk %s (type %s) is not a known index root", root.Short(), c.Type())
+		return 0, errNotRoot(root, typ)
 	}
-	return k, nil
+	return r.kind, nil
+}
+
+// sniffType returns the chunk type of root, from the cache when it can.
+func sniffType(st store.Store, root hash.Hash) (chunk.Type, error) {
+	get := func() (*chunk.Chunk, error) {
+		c, err := st.Get(root)
+		if err != nil {
+			return nil, fmt.Errorf("index: sniffing root %s: %w", root.Short(), err)
+		}
+		return c, nil
+	}
+	cache := store.NodeCacheOf(st)
+	if cache == nil {
+		c, err := get()
+		if err != nil {
+			return 0, err
+		}
+		return c.Type(), nil
+	}
+	n, err := nodecache.Load(cache, root, func() (Node, int, error) {
+		c, err := get()
+		if err != nil {
+			return nil, 0, err
+		}
+		r, ok := rootOf(c.Type())
+		if !ok {
+			return nil, 0, errNotRoot(root, c.Type())
+		}
+		return r.decode(c)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n.ChunkType(), nil
+}
+
+func errNotRoot(root hash.Hash, t chunk.Type) error {
+	return fmt.Errorf("index: chunk %s (type %s) is not a known index root", root.Short(), t)
 }
 
 // Load attaches to the index rooted at root, sniffing the structure from

@@ -70,6 +70,10 @@ type node struct {
 	memSize int // approximate decoded footprint, for cache accounting
 }
 
+// ChunkType reports the chunk type every MPT node is stored as; it is how
+// index.KindOfRoot sniffs a cached root without a store read.
+func (n *node) ChunkType() chunk.Type { return chunk.TypeMPTNode }
+
 // count returns the number of entries under the node.
 func (n *node) count() uint64 {
 	switch n.kind {
@@ -303,34 +307,20 @@ func sourceFor(st store.Store) source {
 }
 
 func (s source) load(id hash.Hash) (*node, error) {
-	if s.cache != nil {
-		if v, ok := s.cache.Get(id); ok {
-			if n, ok := v.(*node); ok {
-				return n, nil
-			}
+	return nodecache.Load(s.cache, id, func() (*node, int, error) {
+		c, err := s.st.Get(id)
+		if err != nil {
+			return nil, 0, err
 		}
-	}
-	c, err := s.st.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if c.Type() != chunk.TypeMPTNode {
-		return nil, fmt.Errorf("mpt: chunk %s is a %s, not an mpt node", id.Short(), c.Type())
-	}
-	n, err := decodeNode(c)
-	if err != nil {
-		return nil, err
-	}
-	if s.cache != nil {
-		s.cache.Put(id, n, n.memSize)
-		// Close the GC purge race exactly like pos.nodeSource: the sweep's
-		// cache purge strictly follows its store delete, so re-checking the
-		// store after our insert means a swept node cannot stay resident.
-		if ok, herr := s.st.Has(id); herr != nil || !ok {
-			s.cache.Remove(id)
+		if c.Type() != chunk.TypeMPTNode {
+			return nil, 0, fmt.Errorf("mpt: chunk %s is a %s, not an mpt node", id.Short(), c.Type())
 		}
-	}
-	return n, nil
+		n, err := decodeNode(c)
+		if err != nil {
+			return nil, 0, err
+		}
+		return n, n.memSize, nil
+	})
 }
 
 // Trie is an immutable Merkle Patricia Trie rooted at a chunk hash.  Like
@@ -579,9 +569,20 @@ func (factory) Build(st store.Store, cfg chunker.Config, entries []index.Entry) 
 	return t, nil
 }
 
+// decodeIndexNode is decodeNode in the form index.RegisterRoot takes: a root
+// the registry decodes on a sniff miss is cached as the node this package's
+// loads expect.
+func decodeIndexNode(c *chunk.Chunk) (index.Node, int, error) {
+	n, err := decodeNode(c)
+	if err != nil {
+		return nil, 0, err
+	}
+	return n, n.memSize, nil
+}
+
 func init() {
 	index.Register(factory{})
-	index.RegisterRoot(chunk.TypeMPTNode, index.KindMPT)
+	index.RegisterRoot(chunk.TypeMPTNode, index.KindMPT, decodeIndexNode)
 	index.RegisterChildren(chunk.TypeMPTNode, Children)
 }
 

@@ -46,6 +46,10 @@ type Cache struct {
 	hits     atomic.Int64
 	misses   atomic.Int64
 	maxBytes int64
+
+	// gen counts Remove and Purge calls; inserts by Load and Add check it
+	// so a value that raced a removal never stays resident.
+	gen atomic.Uint64
 }
 
 // entry is one cached node; entries form a per-shard intrusive LRU list.
@@ -113,6 +117,55 @@ func (c *Cache) Get(key hash.Hash) (any, bool) {
 	return e.val, true
 }
 
+// Load returns the value cached under key, or calls load and caches what it
+// returns.  It is the one cache-insert protocol of the read path (POS and
+// MPT nodes, FNodes).
+//
+// Load reads the cache generation before load touches the store, and the
+// insert is dropped if a Remove or Purge ran in between.  GC deletes a chunk
+// from the store before it removes the id from the cache, so a decode that
+// raced the sweep either failed its store read or is dropped here: a swept
+// node never stays resident, and no insert needs a store round trip to
+// re-check.
+//
+// A negative size returns the value without caching it.  Every caller of
+// one key must cache the same type T; a cached value of another type is
+// treated as a miss.  A nil cache just calls load.
+func Load[T any](c *Cache, key hash.Hash, load func() (T, int, error)) (T, error) {
+	if v, ok := c.Get(key); ok {
+		if t, ok := v.(T); ok {
+			return t, nil
+		}
+	}
+	if c == nil {
+		v, _, err := load()
+		return v, err
+	}
+	gen := c.gen.Load()
+	v, size, err := load()
+	if err == nil && size >= 0 {
+		c.insert(key, v, size, gen)
+	}
+	return v, err
+}
+
+// Add runs write, which stores the chunk behind key, and then caches val
+// under key with the same generation check as Load's insert: a Remove or
+// Purge that ran while write did drops the insert.  It is how a writer
+// caches a value it has just stored, so the first read of it makes no store
+// call.  A nil cache just runs write.
+func Add(c *Cache, key hash.Hash, val any, size int, write func() error) error {
+	if c == nil {
+		return write()
+	}
+	gen := c.gen.Load()
+	if err := write(); err != nil {
+		return err
+	}
+	c.insert(key, val, size, gen)
+	return nil
+}
+
 // Put inserts (or refreshes) key with the given decoded value and
 // approximate payload size in bytes, evicting least-recently-used entries
 // as needed to respect the shard budget.
@@ -120,9 +173,19 @@ func (c *Cache) Put(key hash.Hash, val any, size int) {
 	if c == nil {
 		return
 	}
+	c.insert(key, val, size, c.gen.Load())
+}
+
+// insert is Put for a value decoded while the cache was at generation gen;
+// it drops the value if a Remove or Purge has run since.
+func (c *Cache) insert(key hash.Hash, val any, size int, gen uint64) {
 	charged := int64(size) + entryOverhead
 	s := c.shardFor(key)
 	s.mu.Lock()
+	if c.gen.Load() != gen {
+		s.mu.Unlock()
+		return
+	}
 	if e, ok := s.items[key]; ok {
 		// Same key means same immutable content; refresh recency and
 		// keep the existing decode.
@@ -145,11 +208,14 @@ func (c *Cache) Put(key hash.Hash, val any, size int) {
 }
 
 // Remove drops key if present (used by GC when the underlying chunk is
-// deleted, keeping the cache from resurrecting swept data).
+// deleted, keeping the cache from resurrecting swept data).  It first bumps
+// the generation, so a Load already past its store read cannot re-insert
+// key afterwards.
 func (c *Cache) Remove(key hash.Hash) {
 	if c == nil {
 		return
 	}
+	c.gen.Add(1)
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if e, ok := s.items[key]; ok {
@@ -160,11 +226,13 @@ func (c *Cache) Remove(key hash.Hash) {
 	s.mu.Unlock()
 }
 
-// Purge empties the cache, keeping hit/miss counters.
+// Purge empties the cache, keeping hit/miss counters.  Like Remove, it
+// bumps the generation first.
 func (c *Cache) Purge() {
 	if c == nil {
 		return
 	}
+	c.gen.Add(1)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

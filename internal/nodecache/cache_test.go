@@ -167,3 +167,70 @@ func TestConcurrentGetPut(t *testing.T) {
 		t.Fatalf("byte accounting drifted: %+v", st)
 	}
 }
+
+// TestLoadDropsInsertRacingRemove pins the cache-insert protocol: a Load
+// whose decode started before a Remove or Purge does not insert, so a node
+// GC swept while a reader was decoding it cannot stay resident.
+func TestLoadDropsInsertRacingRemove(t *testing.T) {
+	c := New(1 << 20)
+	k, other := sameShardHash(1), sameShardHash(2)
+	for name, removal := range map[string]func(){
+		"remove": func() { c.Remove(other) },
+		"purge":  c.Purge,
+	} {
+		v, err := Load(c, k, func() (string, int, error) {
+			removal() // lands between the loader's store read and its insert
+			return "v", 10, nil
+		})
+		if err != nil || v != "v" {
+			t.Fatalf("%s: load = %q, %v", name, v, err)
+		}
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("%s: an insert older than the removal stayed resident", name)
+		}
+	}
+
+	// Without a removal the decode is cached and later loads never call
+	// the loader; a negative size returns the value uncached.
+	if _, err := Load(c, k, func() (string, int, error) { return "v", 10, nil }); err != nil {
+		t.Fatal(err)
+	}
+	v, err := Load(c, k, func() (string, int, error) {
+		t.Fatal("a cached key called its loader")
+		return "", 0, nil
+	})
+	if err != nil || v != "v" {
+		t.Fatalf("hit = %q, %v", v, err)
+	}
+	if _, err := Load(c, other, func() (string, int, error) { return "x", -1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(other); ok {
+		t.Fatal("a negative-size load was cached")
+	}
+	// Add, the writer's side of the protocol, follows the same rule.
+	w := sameShardHash(3)
+	if err := Add(c, w, "w", 10, func() error { c.Remove(other); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(w); ok {
+		t.Fatal("an Add that raced a removal stayed resident")
+	}
+	if err := Add(c, w, "w", 10, func() error { return fmt.Errorf("write failed") }); err == nil {
+		t.Fatal("Add hid its write error")
+	}
+	if _, ok := c.Get(w); ok {
+		t.Fatal("a failed write was cached")
+	}
+	if err := Add(c, w, "w", 10, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.Get(w); !ok || v != "w" {
+		t.Fatalf("after Add: %v %v", v, ok)
+	}
+
+	var nilCache *Cache
+	if v, err := Load(nilCache, k, func() (string, int, error) { return "n", 1, nil }); err != nil || v != "n" {
+		t.Fatalf("nil cache load = %q, %v", v, err)
+	}
+}

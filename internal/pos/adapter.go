@@ -87,12 +87,23 @@ func (factory) Build(st store.Store, cfg chunker.Config, entries []index.Entry) 
 	return t, nil
 }
 
+// decodeIndexNode is decodeNode in the form index.RegisterRoot takes: a root
+// the registry decodes on a sniff miss is cached as the node this package's
+// loads expect.
+func decodeIndexNode(c *chunk.Chunk) (index.Node, int, error) {
+	n, err := decodeNode(c)
+	if err != nil {
+		return nil, 0, err
+	}
+	return n, n.memSize, nil
+}
+
 func init() {
 	index.Register(factory{})
 	// Both map node types can root a tree (single-leaf trees root at a
 	// leaf), so Load can sniff the structure from stored data.
-	index.RegisterRoot(chunk.TypeMapLeaf, index.KindPOS)
-	index.RegisterRoot(chunk.TypeMapIndex, index.KindPOS)
+	index.RegisterRoot(chunk.TypeMapLeaf, index.KindPOS, decodeIndexNode)
+	index.RegisterRoot(chunk.TypeMapIndex, index.KindPOS, decodeIndexNode)
 	// Child-hash decoders for every POS node type: reachability walks feed
 	// arbitrary chunks through index.Children instead of importing pos.
 	// IndexChildren answers for map and seq index nodes alike (and returns

@@ -121,6 +121,14 @@ func (b *levelBuilder) addEntry(e Entry) error {
 	return b.afterAppend(s, e.Key, 1)
 }
 
+// addEncodedEntry feeds one map entry already in encodeEntry's form (an
+// old leaf's bytes passed through an edit unchanged).
+func (b *levelBuilder) addEncodedEntry(enc, key []byte) error {
+	s := len(b.buf)
+	b.buf = append(b.buf, enc...)
+	return b.afterAppend(s, key, 1)
+}
+
 // addItem feeds one sequence item (leaf level of the seq variant).
 func (b *levelBuilder) addItem(item []byte) error {
 	s := len(b.buf)

@@ -115,24 +115,43 @@ func (d *differ) expand(t *Tree, refs []childRef) ([]childRef, error) {
 	return out, nil
 }
 
-// entriesOf flattens a span of same-level refs into its leaf entries.
-func (d *differ) entriesOf(t *Tree, refs []childRef, level uint8) ([]Entry, error) {
-	if level == 0 {
-		var out []Entry
-		for _, r := range refs {
-			n, err := d.load(t, r.id)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, n.entries...)
+// leavesOf loads a span of leaf refs.
+func (d *differ) leavesOf(t *Tree, refs []childRef) ([]*node, error) {
+	out := make([]*node, 0, len(refs))
+	for _, r := range refs {
+		n, err := d.load(t, r.id)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
+		out = append(out, n)
 	}
-	lower, err := d.expand(t, refs)
-	if err != nil {
-		return nil, err
+	return out, nil
+}
+
+// leafCursor walks the entries of a run of map leaves in key order.
+type leafCursor struct {
+	leaves []*node
+	i      int // entry index within leaves[0]
+}
+
+func newLeafCursor(leaves []*node) leafCursor {
+	c := leafCursor{leaves: leaves}
+	c.skipEmpty()
+	return c
+}
+
+func (c *leafCursor) valid() bool  { return len(c.leaves) > 0 }
+func (c *leafCursor) entry() Entry { return c.leaves[0].entryAt(c.i) }
+
+func (c *leafCursor) next() {
+	c.i++
+	c.skipEmpty()
+}
+
+func (c *leafCursor) skipEmpty() {
+	for len(c.leaves) > 0 && c.i >= c.leaves[0].numEntries() {
+		c.leaves, c.i = c.leaves[1:], 0
 	}
-	return d.entriesOf(t, lower, level-1)
 }
 
 // diffSpans compares two spans of subtrees covering the same key ranges.
@@ -197,15 +216,15 @@ func (d *differ) diffSpans(aRefs, bRefs []childRef) error {
 	spanDone:
 		if la == 0 {
 			// Leaf spans: load only the mismatched leaves.
-			ae, err := d.entriesOf(d.old, aRefs[ia:ja], 0)
+			al, err := d.leavesOf(d.old, aRefs[ia:ja])
 			if err != nil {
 				return err
 			}
-			be, err := d.entriesOf(d.new, bRefs[ib:jb], 0)
+			bl, err := d.leavesOf(d.new, bRefs[ib:jb])
 			if err != nil {
 				return err
 			}
-			d.diffEntries(ae, be)
+			d.diffEntries(newLeafCursor(al), newLeafCursor(bl))
 		} else {
 			// Descend one level into the misaligned spans before
 			// recursing; recursing at the same level would loop forever.
@@ -226,32 +245,34 @@ func (d *differ) diffSpans(aRefs, bRefs []childRef) error {
 	return nil
 }
 
-// diffEntries merges two sorted entry lists and emits deltas.
-func (d *differ) diffEntries(a, b []Entry) {
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
+// diffEntries merges two sorted entry runs and emits deltas.
+func (d *differ) diffEntries(a, b leafCursor) {
+	for a.valid() || b.valid() {
 		switch {
-		case i >= len(a):
-			d.out = append(d.out, Delta{Key: cp(b[j].Key), To: cp(b[j].Val)})
-			j++
-		case j >= len(b):
-			d.out = append(d.out, Delta{Key: cp(a[i].Key), From: cp(a[i].Val)})
-			i++
+		case !a.valid():
+			e := b.entry()
+			d.out = append(d.out, Delta{Key: cp(e.Key), To: cp(e.Val)})
+			b.next()
+		case !b.valid():
+			e := a.entry()
+			d.out = append(d.out, Delta{Key: cp(e.Key), From: cp(e.Val)})
+			a.next()
 		default:
-			cmp := bytes.Compare(a[i].Key, b[j].Key)
+			ea, eb := a.entry(), b.entry()
+			cmp := bytes.Compare(ea.Key, eb.Key)
 			switch {
 			case cmp < 0:
-				d.out = append(d.out, Delta{Key: cp(a[i].Key), From: cp(a[i].Val)})
-				i++
+				d.out = append(d.out, Delta{Key: cp(ea.Key), From: cp(ea.Val)})
+				a.next()
 			case cmp > 0:
-				d.out = append(d.out, Delta{Key: cp(b[j].Key), To: cp(b[j].Val)})
-				j++
+				d.out = append(d.out, Delta{Key: cp(eb.Key), To: cp(eb.Val)})
+				b.next()
 			default:
-				if !bytes.Equal(a[i].Val, b[j].Val) {
-					d.out = append(d.out, Delta{Key: cp(a[i].Key), From: cp(a[i].Val), To: cp(b[j].Val)})
+				if !bytes.Equal(ea.Val, eb.Val) {
+					d.out = append(d.out, Delta{Key: cp(ea.Key), From: cp(ea.Val), To: cp(eb.Val)})
 				}
-				i++
-				j++
+				a.next()
+				b.next()
 			}
 		}
 	}

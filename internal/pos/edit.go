@@ -94,10 +94,10 @@ func (t *Tree) materializeLevels() ([]levelInfo, error) {
 }
 
 func lastLeafKey(n *node) []byte {
-	if len(n.entries) == 0 {
+	if n.numEntries() == 0 {
 		return nil
 	}
-	return n.entries[len(n.entries)-1].Key
+	return n.keyAt(n.numEntries() - 1)
 }
 
 // Edit applies a batch of mutations and returns the resulting tree.
@@ -226,33 +226,42 @@ func (t *Tree) editLeaves(sink *store.ChunkSink, leafRefs []childRef, ops []Op) 
 
 	lb := newLevelBuilder(sink, t.cfg, 0, true)
 	oldLeaf := lo
-	var oldEntries []Entry
+	var old *node // the loaded leaf oldLeaf, once loaded is true
 	oldPos := 0
 	loaded := false
 
-	// peekOld returns the next untouched entry of the old tree, loading
-	// leaves lazily; ok=false at the end of the tree.
-	peekOld := func() (Entry, bool, error) {
+	// peekOld returns the key of the next untouched entry of the old tree,
+	// loading leaves lazily; ok=false at the end of the tree.
+	peekOld := func() ([]byte, bool, error) {
 		for {
 			if oldLeaf >= len(leafRefs) {
-				return Entry{}, false, nil
+				return nil, false, nil
 			}
 			if !loaded {
-				oldEntries, err = t.src.loadMapLeaf(leafRefs[oldLeaf].id)
+				old, err = t.src.loadMapLeaf(leafRefs[oldLeaf].id)
 				if err != nil {
-					return Entry{}, false, err
+					return nil, false, err
 				}
 				loaded = true
 				oldPos = 0
 			}
-			if oldPos < len(oldEntries) {
-				return oldEntries[oldPos], true, nil
+			if oldPos < old.numEntries() {
+				return old.keyAt(oldPos), true, nil
 			}
 			oldLeaf++
 			loaded = false
 		}
 	}
 	advanceOld := func() { oldPos++ }
+	// passOld feeds the peeked old entry through unchanged: its encoded
+	// bytes are copied, since encodeEntry would reproduce them exactly.
+	passOld := func(key []byte) error {
+		if err := lb.addEncodedEntry(old.rawEntry(oldPos), key); err != nil {
+			return err
+		}
+		advanceOld()
+		return nil
+	}
 	feed := func(e Entry, isNew bool) error {
 		if isNew {
 			delta++
@@ -265,7 +274,7 @@ func (t *Tree) editLeaves(sink *store.ChunkSink, leafRefs []childRef, ops []Op) 
 		if opIdx >= len(ops) {
 			// Tail phase: pass old entries through until the chunker
 			// re-synchronises with an old leaf boundary.
-			e, ok, perr := peekOld()
+			k, ok, perr := peekOld()
 			if perr != nil {
 				return 0, 0, nil, 0, perr
 			}
@@ -277,24 +286,22 @@ func (t *Tree) editLeaves(sink *store.ChunkSink, leafRefs []childRef, ops []Op) 
 				hi = oldLeaf
 				break
 			}
-			if err := feed(e, false); err != nil {
+			if err := passOld(k); err != nil {
 				return 0, 0, nil, 0, err
 			}
-			advanceOld()
 			continue
 		}
 		op := ops[opIdx]
-		e, ok, perr := peekOld()
+		k, ok, perr := peekOld()
 		if perr != nil {
 			return 0, 0, nil, 0, perr
 		}
 		switch {
-		case ok && bytes.Compare(e.Key, op.Key) < 0:
-			if err := feed(e, false); err != nil {
+		case ok && bytes.Compare(k, op.Key) < 0:
+			if err := passOld(k); err != nil {
 				return 0, 0, nil, 0, err
 			}
-			advanceOld()
-		case ok && bytes.Equal(e.Key, op.Key):
+		case ok && bytes.Equal(k, op.Key):
 			if op.Delete {
 				delta--
 			} else if err := feed(Entry{Key: op.Key, Val: op.Val}, false); err != nil {

@@ -19,6 +19,7 @@ package pos
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/hash"
@@ -112,42 +113,60 @@ func capHint(n uint64, avail, minSize int) int {
 	return int(n)
 }
 
-// decodeMapLeaf parses a TypeMapLeaf payload.
-func decodeMapLeaf(data []byte) ([]Entry, error) {
+// uvarint reads a canonical unsigned varint from p: sz <= 0 on a truncated,
+// overflowing or overlong encoding (a multi-byte form whose last byte is 0
+// could have been written shorter).  The one-byte case — nearly every key
+// and value length — skips binary.Uvarint.
+func uvarint(p []byte) (uint64, int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1
+	}
+	v, sz := binary.Uvarint(p)
+	if sz > 1 && p[sz-1] == 0 {
+		return 0, -1
+	}
+	return v, sz
+}
+
+// decodeMapLeaf validates a TypeMapLeaf payload in one pass and returns the
+// offset of each entry within it.  The leaf stays in its encoded form: a
+// node keeps the payload plus these offsets, and keyAt/entryAt slice
+// entries out of the payload on demand, so a decoded leaf holds no
+// per-entry pointers.  Only canonical encodings are accepted, so every
+// accepted payload re-encodes byte-identically through encodeEntry.
+func decodeMapLeaf(data []byte) ([]uint32, error) {
 	if len(data) < 1 {
 		return nil, errTrunc("map leaf")
 	}
 	if data[0] != 0 {
 		return nil, fmt.Errorf("pos: map leaf with level %d", data[0])
 	}
-	p := data[1:]
-	n, sz := binary.Uvarint(p)
+	if uint64(len(data)) > math.MaxUint32 {
+		return nil, fmt.Errorf("pos: map leaf of %d bytes", len(data))
+	}
+	n, sz := uvarint(data[1:])
 	if sz <= 0 {
 		return nil, errTrunc("map leaf")
 	}
-	p = p[sz:]
-	entries := make([]Entry, 0, capHint(n, len(p), 2))
+	p := 1 + sz
+	offs := make([]uint32, 0, capHint(n, len(data)-p, 2))
 	for i := uint64(0); i < n; i++ {
-		kl, sz := binary.Uvarint(p)
-		if sz <= 0 || uint64(len(p[sz:])) < kl {
+		offs = append(offs, uint32(p))
+		kl, sz := uvarint(data[p:])
+		if sz <= 0 || uint64(len(data)-p-sz) < kl {
 			return nil, errTrunc("map leaf entry key")
 		}
-		p = p[sz:]
-		k := p[:kl:kl]
-		p = p[kl:]
-		vl, sz := binary.Uvarint(p)
-		if sz <= 0 || uint64(len(p[sz:])) < vl {
+		p += sz + int(kl)
+		vl, sz := uvarint(data[p:])
+		if sz <= 0 || uint64(len(data)-p-sz) < vl {
 			return nil, errTrunc("map leaf entry value")
 		}
-		p = p[sz:]
-		v := p[:vl:vl]
-		p = p[vl:]
-		entries = append(entries, Entry{Key: k, Val: v})
+		p += sz + int(vl)
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("pos: %d trailing bytes in map leaf", len(p))
+	if p != len(data) {
+		return nil, fmt.Errorf("pos: %d trailing bytes in map leaf", len(data)-p)
 	}
-	return entries, nil
+	return offs, nil
 }
 
 // decodeMapIndex parses a TypeMapIndex payload, returning its level and

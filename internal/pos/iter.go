@@ -17,12 +17,12 @@ import (
 //	}
 //	if err := it.Err(); err != nil { ... }
 type Iter struct {
-	t       *Tree
-	stack   []iterFrame
-	entries []Entry
-	pos     int // position within entries; -1 before first Next
-	err     error
-	done    bool
+	t     *Tree
+	stack []iterFrame
+	leaf  *node // current map leaf
+	pos   int   // entry position within leaf; -1 before first Next
+	err   error
+	done  bool
 }
 
 type iterFrame struct {
@@ -59,16 +59,10 @@ func (t *Tree) IterFrom(key []byte) (*Iter, error) {
 			return nil, fmt.Errorf("pos: iter: %w", err)
 		}
 		if n.typ == chunk.TypeMapLeaf {
-			entries := n.entries
-			it.entries = entries
-			i := sort.Search(len(entries), func(i int) bool {
-				return bytes.Compare(entries[i].Key, key) >= 0
-			})
-			it.pos = i - 1
-			if i == len(entries) {
-				// Key is beyond this leaf; the next Next() will pop upward.
-				it.pos = len(entries) - 1
-			}
+			it.leaf = n
+			// When key is beyond this leaf, i-1 is its last entry and the
+			// next Next() pops upward.
+			it.pos = n.searchLeaf(key) - 1
 			return it, nil
 		}
 		if n.typ != chunk.TypeMapIndex {
@@ -94,7 +88,7 @@ func (it *Iter) descend(id hash.Hash) error {
 			return fmt.Errorf("pos: iter: %w", err)
 		}
 		if n.typ == chunk.TypeMapLeaf {
-			it.entries = n.entries
+			it.leaf = n
 			it.pos = -1
 			return nil
 		}
@@ -116,7 +110,7 @@ func (it *Iter) Next() bool {
 		return false
 	}
 	it.pos++
-	if it.pos < len(it.entries) {
+	if it.pos < it.leaf.numEntries() {
 		return true
 	}
 	// Current leaf exhausted: pop to the nearest ancestor with a next child.
@@ -129,7 +123,7 @@ func (it *Iter) Next() bool {
 				return false
 			}
 			it.pos = 0
-			return len(it.entries) > 0
+			return it.leaf.numEntries() > 0
 		}
 		it.stack = it.stack[:len(it.stack)-1]
 	}
@@ -139,7 +133,7 @@ func (it *Iter) Next() bool {
 
 // Entry returns the current entry.  Valid only after a true Next.  The
 // returned slices alias decoded chunk data; copy before holding long-term.
-func (it *Iter) Entry() Entry { return it.entries[it.pos] }
+func (it *Iter) Entry() Entry { return it.leaf.entryAt(it.pos) }
 
 // Err returns the first error encountered during iteration.
 func (it *Iter) Err() error { return it.err }

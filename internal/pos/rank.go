@@ -24,10 +24,10 @@ func (t *Tree) At(i uint64) (Entry, error) {
 		}
 		switch n.typ {
 		case chunk.TypeMapLeaf:
-			if i >= uint64(len(n.entries)) {
+			if i >= uint64(n.numEntries()) {
 				return Entry{}, ErrOutOfRange
 			}
-			return n.entries[i], nil
+			return n.entryAt(int(i)), nil
 		case chunk.TypeMapIndex:
 			found := false
 			for _, r := range n.refs {
@@ -64,11 +64,7 @@ func (t *Tree) Rank(key []byte) (uint64, error) {
 		}
 		switch n.typ {
 		case chunk.TypeMapLeaf:
-			entries := n.entries
-			i := sort.Search(len(entries), func(i int) bool {
-				return bytes.Compare(entries[i].Key, key) >= 0
-			})
-			return rank + uint64(i), nil
+			return rank + uint64(n.searchLeaf(key)), nil
 		case chunk.TypeMapIndex:
 			refs := n.refs
 			i := sort.Search(len(refs), func(i int) bool {

@@ -49,7 +49,7 @@ func LoadTree(st store.Store, cfg chunker.Config, root hash.Hash) (*Tree, error)
 	}
 	switch n.typ {
 	case chunk.TypeMapLeaf:
-		t.count = uint64(len(n.entries))
+		t.count = uint64(n.numEntries())
 	case chunk.TypeMapIndex:
 		for _, r := range n.refs {
 			t.count += r.count
@@ -92,12 +92,10 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 		}
 		switch n.typ {
 		case chunk.TypeMapLeaf:
-			entries := n.entries
-			i := sort.Search(len(entries), func(i int) bool {
-				return bytes.Compare(entries[i].Key, key) >= 0
-			})
-			if i < len(entries) && bytes.Equal(entries[i].Key, key) {
-				return entries[i].Val, nil
+			if i := n.searchLeaf(key); i < n.numEntries() {
+				if e := n.entryAt(i); bytes.Equal(e.Key, key) {
+					return e.Val, nil
+				}
 			}
 			return nil, ErrKeyNotFound
 		case chunk.TypeMapIndex:

@@ -57,23 +57,31 @@ func cut(s string, sep byte) (before, after string, found bool) {
 	return s, "", false
 }
 
+// maxCSVBody bounds a CSV upload body.  Both upload routes hold the parsed
+// rows in memory before they build, so an unbounded body is unbounded
+// memory.  A variable so tests can lower it; it is not a user option.
+var maxCSVBody int64 = 256 << 20
+
 func (h *Handler) importCSV(w http.ResponseWriter, r *http.Request, name string) {
 	if h.denyWrite(w) {
 		return
 	}
+	body := http.MaxBytesReader(w, r.Body, maxCSVBody)
 	if r.URL.Query().Get("append") == "1" {
 		cur, err := dataset.Open(h.db, name, branchParam(r))
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		ds, err := cur.AppendCSV(r.Body, nil)
+		ds, err := cur.AppendCSV(body, nil)
 		if err != nil {
-			if errors.Is(err, core.ErrStaleHead) {
+			switch {
+			case writeTooLarge(w, err):
+			case errors.Is(err, core.ErrStaleHead):
 				writeErr(w, err) // lost head race is the caller's 409, not a 400
-				return
+			default:
+				writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 			}
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -87,9 +95,11 @@ func (h *Handler) importCSV(w http.ResponseWriter, r *http.Request, name string)
 	if keyCol == "" {
 		keyCol = "id"
 	}
-	ds, err := dataset.CreateFromCSV(h.db, name, branchParam(r), keyCol, r.Body, nil)
+	ds, err := dataset.CreateFromCSV(h.db, name, branchParam(r), keyCol, body, nil)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		if !writeTooLarge(w, err) {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		}
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{

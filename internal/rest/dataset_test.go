@@ -163,3 +163,33 @@ func TestDatasetAppendREST(t *testing.T) {
 		t.Fatalf("append to ghost code = %d", resp.StatusCode)
 	}
 }
+
+// TestCSVUploadBounded: both CSV upload routes refuse a body beyond
+// maxCSVBody with 413, and a body within it still lands.
+func TestCSVUploadBounded(t *testing.T) {
+	defer func(n int64) { maxCSVBody = n }(maxCSVBody)
+	maxCSVBody = 256
+	srv, _, _ := newServer(t)
+	big := "id,qty\n" + strings.Repeat("p1,10\n", 100)
+	post := func(url, payload string, want int) {
+		t.Helper()
+		resp, err := http.Post(url, "text/csv", strings.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != want {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("post %s: %d %s, want %d", url, resp.StatusCode, body, want)
+		}
+	}
+	post(srv.URL+"/v1/dataset/stock?key=id", big, http.StatusRequestEntityTooLarge)
+	post(srv.URL+"/v1/dataset/stock?key=id", "id,qty\np1,10\np2,20\n", http.StatusCreated)
+	post(srv.URL+"/v1/dataset/stock?append=1", big, http.StatusRequestEntityTooLarge)
+	post(srv.URL+"/v1/dataset/stock?append=1", "id,qty\np3,30\n", http.StatusOK)
+
+	code, body := doJSON(t, http.MethodGet, srv.URL+"/v1/dataset/stock/stat", nil)
+	if code != http.StatusOK || body["rows"].(float64) != 3 {
+		t.Fatalf("stat after bounded uploads: %d %v", code, body)
+	}
+}

@@ -236,17 +236,26 @@ const maxJSONBody = 16 << 20
 // and returns false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
-	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:
 		return true
-	case errors.As(err, &tooBig):
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorBody{Error: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)})
+	case writeTooLarge(w, err):
 	default:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
 	}
 	return false
+}
+
+// writeTooLarge answers 413 and reports true when err is a request body
+// overflowing its http.MaxBytesReader cap.
+func writeTooLarge(w http.ResponseWriter, err error) bool {
+	var tooBig *http.MaxBytesError
+	if !errors.As(err, &tooBig) {
+		return false
+	}
+	writeJSON(w, http.StatusRequestEntityTooLarge,
+		errorBody{Error: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)})
+	return true
 }
 
 // retryAfterSeconds is the backpressure hint shipped with every 503: long

@@ -461,6 +461,14 @@ func TestCountingStoreIncrements(t *testing.T) {
 	if incs[1].PhysicalBytes >= incs[1].LogicalBytes {
 		t.Fatalf("phase2 dedup not visible: %+v", incs[1])
 	}
+
+	cs.Get(c1.ID())
+	cs.GetBatch([]hash.Hash{c1.ID(), c1.ID()})
+	cs.Has(c1.ID())
+	cs.HasBatch([]hash.Hash{c1.ID()})
+	if gets, has := cs.Calls(); gets != 3 || has != 2 {
+		t.Fatalf("calls = %d gets, %d has; want 3, 2", gets, has)
+	}
 }
 
 func TestMaliciousStoreCorruption(t *testing.T) {

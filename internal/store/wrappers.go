@@ -15,15 +15,18 @@ import (
 // phases, so experiments can report "loading dataset 2 increased storage by
 // only 0.04 KB" exactly like Fig 4 of the paper.
 //
-// Every Store method is the embedded inner store's, so batched ingest moves
-// the inner counters exactly as per-chunk Puts would.
+// Every write method is the embedded inner store's, so batched ingest moves
+// the inner counters exactly as per-chunk Puts would.  Reads and existence
+// probes are also counted here, per chunk id (Calls), so a test can pin
+// how many store round trips a read path makes.
 //
-// Concurrency: the wrapper itself holds no per-op state — delegated calls
-// touch only the inner store — and Mark/Increments guard the snapshot
-// slices with one mutex, so concurrent builder workers can write through a
-// CountingStore while an experiment thread marks phases.
+// Concurrency: the call counters are atomic, and Mark/Increments guard the
+// snapshot slices with one mutex, so concurrent builder workers can write
+// through a CountingStore while an experiment thread marks phases.
 type CountingStore struct {
 	Store
+
+	gets, has atomic.Int64
 
 	mu     sync.Mutex
 	marks  []Stats
@@ -37,6 +40,34 @@ func NewCountingStore(inner Store) *CountingStore {
 
 // Unwrap exposes the inner store (capability discovery through As).
 func (c *CountingStore) Unwrap() Store { return c.Store }
+
+// Get implements Store, counting the read.
+func (c *CountingStore) Get(id hash.Hash) (*chunk.Chunk, error) {
+	c.gets.Add(1)
+	return c.Store.Get(id)
+}
+
+// GetBatch implements Store, counting one read per id.
+func (c *CountingStore) GetBatch(ids []hash.Hash) ([]*chunk.Chunk, error) {
+	c.gets.Add(int64(len(ids)))
+	return c.Store.GetBatch(ids)
+}
+
+// Has implements Store, counting the probe.
+func (c *CountingStore) Has(id hash.Hash) (bool, error) {
+	c.has.Add(1)
+	return c.Store.Has(id)
+}
+
+// HasBatch implements Store, counting one probe per id.
+func (c *CountingStore) HasBatch(ids []hash.Hash) ([]bool, error) {
+	c.has.Add(int64(len(ids)))
+	return c.Store.HasBatch(ids)
+}
+
+// Calls returns how many chunk ids were read (Get, GetBatch) and probed
+// (Has, HasBatch) through this wrapper.
+func (c *CountingStore) Calls() (gets, has int64) { return c.gets.Load(), c.has.Load() }
 
 // Mark snapshots the current counters under a label.
 func (c *CountingStore) Mark(label string) {
